@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <vector>
 
 #include "bender/host.h"
 #include "exec/pool.h"
@@ -185,6 +186,60 @@ BM_NestedProbe(benchmark::State &state)
         static_cast<std::int64_t>(hammers));
 }
 
+/**
+ * The naive close path on its own: RowHammer, CoMRA and SiMRA-8 bodies
+ * with the fast path off and default weak-cell populations, so every
+ * close runs Device::act/pre -> DisturbanceModel::applyClose (plus
+ * majorityMerge for SiMRA).  That is the per-close cost of hooked
+ * (mitigated) runs, fast-path warm-up/recording iterations and phase
+ * breaks.  Reports closes/s.
+ */
+void
+BM_NaiveClose(benchmark::State &state)
+{
+    constexpr std::uint64_t kHammers = 4096;
+    bender::TestBench bench(benchConfig());
+    bench.executor().setFastPath(false);
+    dram::Device &dev = bench.device();
+
+    hammer::PatternTimings t;
+    bender::Program program;
+    std::uint64_t closes_per_hammer = 1;
+    std::vector<dram::RowId> operands;
+    switch (state.range(0)) {
+      case 0:  // double-sided RowHammer: one close per activation
+        program = hammer::doubleSidedRowHammer(
+            0, dev.toLogical(32), dev.toLogical(34), kHammers, t);
+        closes_per_hammer = 2;
+        break;
+      case 1:  // CoMRA copy cycle: the source and destination closes
+        program = hammer::comraHammer(0, dev.toLogical(32),
+                                      dev.toLogical(34), kHammers, t);
+        closes_per_hammer = 2;
+        break;
+      default:  // SiMRA-8: offsets 64 ^ 71 differ in three bits
+        program = hammer::simraHammer(0, dev.toLogical(64),
+                                      dev.toLogical(71), kHammers, t);
+        for (dram::RowId r = 64; r < 72; ++r)
+            operands.push_back(dev.toLogical(r));
+        break;
+    }
+    const dram::RowData p55(512, dram::DataPattern::P55);
+    const dram::RowData paa(512, dram::DataPattern::PAA);
+
+    for (auto _ : state) {
+        // Disagreeing SiMRA operands: the first op of each run takes
+        // the word-level majority, the rest its agree-exit.
+        for (std::size_t k = 0; k < operands.size(); ++k)
+            bench.writeRow(0, operands[k], k % 3 ? p55 : paa);
+        bench.run(program);
+    }
+    state.counters["closes_per_s"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * kHammers *
+                            closes_per_hammer),
+        benchmark::Counter::kIsRate);
+}
+
 void
 BM_RawCommandRate(benchmark::State &state)
 {
@@ -261,6 +316,9 @@ BENCHMARK(BM_NestedProbe)
     ->Args({0, 100000})
     ->Args({1, 100000})
     ->Args({1, 700000});
+
+// {0 = RowHammer, 1 = CoMRA, 2 = SiMRA-8}
+BENCHMARK(BM_NaiveClose)->Arg(0)->Arg(1)->Arg(2);
 
 BENCHMARK(BM_RawCommandRate);
 

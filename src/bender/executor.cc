@@ -183,11 +183,20 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
         strikes = replayed >= kFastPathThreshold ? 0 : strikes + 1;
     }
 
-    if (it < n && strikes >= 2 && obs::traceOn()) [[unlikely]]
-        obs::trace().event("naive_fallback",
-                           {{"loop", loop_index},
-                            {"trip", n - it},
-                            {"reason", "strikes"}});
+    if (it < n && strikes >= 2) {
+        // Counted apart from executor.naive_fallbacks (loops that were
+        // never eligible): this loop tried to record and gave up.
+        if (obs::metricsOn()) [[unlikely]] {
+            static const obs::CounterId c =
+                obs::metrics().counterId("executor.strike_fallbacks");
+            obs::metrics().add(c);
+        }
+        if (obs::traceOn()) [[unlikely]]
+            obs::trace().event("naive_fallback",
+                               {{"loop", loop_index},
+                                {"trip", n - it},
+                                {"reason", "strikes"}});
+    }
     while (it < n) {
         body();
         ++it;

@@ -1,6 +1,8 @@
 #include "dram/device.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -35,8 +37,22 @@ constexpr double kSimraPerNJitterSigma = 0.30;
 
 } // namespace
 
+DeviceConfig &&
+Device::validated(DeviceConfig &&cfg)
+{
+    if (cfg.banks == 0 || cfg.subarraysPerBank == 0 ||
+        cfg.rowsPerSubarray == 0 || cfg.cols == 0) {
+        fatal("Device: degenerate geometry");
+    }
+    if (!std::has_single_bit(cfg.rowsPerSubarray))
+        fatal("Device: rowsPerSubarray must be a power of two");
+    return std::move(cfg);
+}
+
 Device::Device(DeviceConfig cfg)
-    : cfg_(std::move(cfg)),
+    : cfg_(validated(std::move(cfg))),
+      subarrayShift_(static_cast<unsigned>(
+          std::countr_zero(cfg_.rowsPerSubarray))),
       mapping_(cfg_.profile.mapping),
       decoder_(cfg_.rowsPerSubarray),
       disturb_(cfg_),
@@ -44,13 +60,6 @@ Device::Device(DeviceConfig cfg)
       trrRng_(Rng(cfg_.seed).fork(0x7272)),
       noiseRng_(Rng(cfg_.seed).fork(0x4E01))
 {
-    if (cfg_.banks == 0 || cfg_.subarraysPerBank == 0 ||
-        cfg_.rowsPerSubarray == 0 || cfg_.cols == 0) {
-        fatal("Device: degenerate geometry");
-    }
-    if ((cfg_.rowsPerSubarray & (cfg_.rowsPerSubarray - 1)) != 0)
-        fatal("Device: rowsPerSubarray must be a power of two");
-
     // Banks start as empty shells and rows materialize on first touch
     // (populateRow): an idle module costs O(1) memory and construction
     // time, which is what lets fleet-scale population sweeps build one
@@ -267,26 +276,64 @@ Device::viewOf(const Row &row)
 void
 Device::majorityMerge(BankState &bank)
 {
-    const auto n = bank.openRows.size();
+    const std::size_t n = bank.openRows.size();
     if (n < 2)
         return;
 
-    RowData out(cfg_.cols);
-    for (ColId col = 0; col < cfg_.cols; ++col) {
-        unsigned ones = 0;
-        for (RowId r : bank.openRows)
-            ones += bank.rows[r].data.get(col);
-        bool bit;
-        if (2 * ones > n)
-            bit = true;
-        else if (2 * ones < n)
-            bit = false;
-        else
-            bit = bank.rows[bank.openRows.front()].data.get(col);
-        out.set(col, bit);
-    }
+    // Steady state of every SiMRA hammer loop: the operands already
+    // agree (and are clean cols-bit rows), so the majority is each of
+    // them and there is nothing to write.
+    const RowData &first = bank.rows[bank.openRows.front()].data;
+    const ColId tail = cfg_.cols % 64;
+    bool agree = first.bits() == cfg_.cols &&
+                 (tail == 0 || (first.words().back() >> tail) == 0);
+    for (std::size_t k = 1; agree && k < n; ++k)
+        agree = bank.rows[bank.openRows[k]].data == first;
+    if (agree)
+        return;
+
+    mergeOperands_.clear();
     for (RowId r : bank.openRows)
-        bank.rows[r].data = out;
+        mergeOperands_.push_back(bank.rows[r].data.words().data());
+    if (mergeOut_.bits() != cfg_.cols)
+        mergeOut_ = RowData(cfg_.cols);
+    std::uint64_t *out = mergeOut_.words().data();
+    const std::size_t nwords = mergeOut_.words().size();
+
+    // Per word, a bit-sliced counter: cnt[b] holds bit b of each
+    // column's count of ones (ripple-carry add per operand row).  The
+    // column bit is count > n/2, or the first row's bit on an even-N
+    // tie (count == n/2).
+    const int width = std::bit_width(n);
+    const std::size_t half = n / 2;
+    const bool even = n % 2 == 0;
+    std::array<std::uint64_t, 64> cnt;
+    for (std::size_t w = 0; w < nwords; ++w) {
+        std::fill_n(cnt.begin(), width, 0);
+        for (const std::uint64_t *op : mergeOperands_) {
+            std::uint64_t carry = op[w];
+            for (int b = 0; carry != 0; ++b) {
+                const std::uint64_t c = cnt[b] & carry;
+                cnt[b] ^= carry;
+                carry = c;
+            }
+        }
+        std::uint64_t gt = 0, eq = ~0ULL;
+        for (int b = width - 1; b >= 0; --b) {
+            if ((half >> b) & 1) {
+                eq &= cnt[b];
+            } else {
+                gt |= eq & cnt[b];
+                eq &= ~cnt[b];
+            }
+        }
+        out[w] = gt | (even ? eq & mergeOperands_.front()[w] : 0);
+    }
+    if (tail != 0)
+        out[nwords - 1] &= (1ULL << tail) - 1;
+
+    for (RowId r : bank.openRows)
+        bank.rows[r].data = mergeOut_;
 }
 
 void
@@ -544,8 +591,11 @@ Device::pre(Time t, BankId b)
     if (bank.pendingValid)
         flushPending(bank);
 
+    // bank.pending is stale here (flushed above, or never valid): its
+    // row buffer is recycled instead of allocating one per PRE.
     CloseEvent ev;
-    ev.rows = bank.openRows;
+    ev.rows.swap(bank.pending.rows);
+    ev.rows.assign(bank.openRows.begin(), bank.openRows.end());
     switch (bank.openKind) {
       case OpenKind::ComraDst:
         ev.cls = TechClass::Comra;

@@ -212,7 +212,7 @@ class Device
     SubarrayId
     subarrayOfPhysical(RowId physical) const
     {
-        return physical / cfg_.rowsPerSubarray;
+        return physical >> subarrayShift_;
     }
     const DisturbanceModel &disturbModel() const { return disturb_; }
     Time now() const { return now_; }
@@ -334,8 +334,16 @@ class Device
     /** Flip-composed view of a row's contents. */
     static RowData viewOf(const Row &row);
 
-    /** Overwrite all open rows with the column-wise majority. */
+    /**
+     * Overwrite all open rows with the column-wise majority; even-N
+     * ties take openRows.front()'s bit.  Bit-sliced over 64-bit words,
+     * and a no-op when the operands already agree.
+     */
     void majorityMerge(BankState &bank);
+
+    /** Geometry checks the constructor needs before any member uses
+     *  the config; passes it through unchanged. */
+    static DeviceConfig &&validated(DeviceConfig &&cfg);
 
     /** Scratch state while a loop iteration is being recorded. */
     struct LoopRecorder
@@ -351,6 +359,7 @@ class Device
     };
 
     DeviceConfig cfg_;
+    unsigned subarrayShift_;  //!< log2(rowsPerSubarray)
     RowMapping mapping_;
     SimraDecoder decoder_;
     DisturbanceModel disturb_;
@@ -366,6 +375,10 @@ class Device
     std::size_t populatedRows_ = 0;
     MitigationHook *mitigation_ = nullptr;
     std::vector<RowId> mitigationRefresh_;  //!< scratch for hook calls
+
+    /** majorityMerge scratch: operand word arrays and the result. */
+    std::vector<const std::uint64_t *> mergeOperands_;
+    RowData mergeOut_;
 };
 
 } // namespace pud::dram

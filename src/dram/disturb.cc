@@ -1,6 +1,7 @@
 #include "dram/disturb.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_map>
 #include <utility>
@@ -90,8 +91,20 @@ minorityScale(TechClass cls, const WeakCell &cell)
 } // namespace
 
 DisturbanceModel::DisturbanceModel(const DeviceConfig &cfg)
-    : cfg_(cfg), rowsPerSubarray_(cfg.rowsPerSubarray)
+    : cal_{cfg.profile.mfr,
+           cfg.profile.trueAntiCells,
+           cfg.profile.comraTempGain50To80,
+           cfg.profile.simraTempGain50To80,
+           cfg.profile.comraRegionGain,
+           cfg.timings.simraPartialActToPre,
+           cfg.distance2Weight,
+           cfg.singleSidedScale},
+      subarrayShift_(static_cast<unsigned>(
+          std::countr_zero(cfg.rowsPerSubarray))),
+      subarrayMask_(cfg.rowsPerSubarray - 1)
 {
+    if (!std::has_single_bit(cfg.rowsPerSubarray))
+        fatal("DisturbanceModel: rowsPerSubarray must be a power of two");
 }
 
 double
@@ -228,7 +241,7 @@ DisturbanceModel::comraDelayGain(Time delay) const
     const double d_ns = units::toNs(delay);
     if (d_ns <= 7.5)
         return 1.0;
-    const double end = comraDelayEnd(cfg_.profile.mfr);
+    const double end = comraDelayEnd(cal_.mfr);
     return std::pow(end, -(d_ns - 7.5) / 4.5);
 }
 
@@ -237,7 +250,7 @@ DisturbanceModel::simraTimingGain(Time act_to_pre, Time pre_to_act) const
 {
     double g = 1.0;
     // Partial activation at very small ACT->PRE gaps (Obs. 20).
-    if (act_to_pre <= cfg_.timings.simraPartialActToPre)
+    if (act_to_pre <= cal_.simraPartialActToPre)
         g /= 2.28;
     // Larger PRE->ACT gaps slightly strengthen the disturbance
     // (Obs. 19: 1.23x from 1.5ns to 4.5ns); normalized to 1.0 at 3ns.
@@ -255,10 +268,10 @@ DisturbanceModel::tempGain(TechClass cls, int simra_n, Celsius temp,
       case TechClass::Conventional:
         return std::max(0.05, 1.0 + cell.tempSlopeConv * dt);
       case TechClass::Comra:
-        return std::pow(cfg_.profile.comraTempGain50To80, dt);
+        return std::pow(cal_.comraTempGain50To80, dt);
       case TechClass::Simra:
         return std::pow(
-            cfg_.profile.simraTempGain50To80[simraIndex(simra_n)], dt);
+            cal_.simraTempGain50To80[simraIndex(simra_n)], dt);
     }
     return 1.0;
 }
@@ -275,7 +288,7 @@ DisturbanceModel::dataGain(const RowData &aggressor, ColId col,
         g *= 0.80;
         // Nanya's true-/anti-cell layout makes solid patterns
         // ineffective within a refresh window (paper footnote 1).
-        if (cfg_.profile.trueAntiCells)
+        if (cal_.trueAntiCells)
             g *= 0.05;
     }
     return g;
@@ -293,11 +306,11 @@ DisturbanceModel::regionGain(TechClass cls, int simra_n, Region region) const
         // RowHammer is well documented); this keeps Obs. 2 (CoMRA
         // lowers HC_first for ~99% of rows) true in every region
         // while still producing Fig. 11's per-region distributions.
-        return cfg_.profile.comraRegionGain[r];
+        return cal_.comraRegionGain[r];
       case TechClass::Simra:
         // The family's spatial vulnerability profile underlies every
         // technique; SiMRA adds its own per-N trend on top (Obs. 21).
-        return cfg_.profile.comraRegionGain[r] *
+        return cal_.comraRegionGain[r] *
                kSimraRegionGain[simraIndex(simra_n)][r];
     }
     return 1.0;
@@ -306,9 +319,9 @@ DisturbanceModel::regionGain(TechClass cls, int simra_n, Region region) const
 Region
 DisturbanceModel::regionOf(RowId physical_row) const
 {
-    const RowId offset = physical_row % rowsPerSubarray_;
+    const RowId offset = physical_row & subarrayMask_;
     const auto r = std::min<RowId>(
-        kNumRegions - 1, offset * kNumRegions / rowsPerSubarray_);
+        kNumRegions - 1, (offset * kNumRegions) >> subarrayShift_);
     return static_cast<Region>(r);
 }
 
@@ -342,6 +355,48 @@ foldThreshold(const DeviceConfig &cfg, const AggregateExposure &e,
     return e.weightedCloses * gain / (2.0 * base_hc);
 }
 
+DisturbanceModel::ClassFactors
+DisturbanceModel::classFactors(TechClass cls, const CloseEvent &event,
+                               Celsius temperature)
+{
+    ClassFactors f;
+    f.press = pressMemo_.get({cls, event.simraN, event.tOn}, [&] {
+        return pressGain(cls, event.simraN, event.tOn);
+    });
+    switch (cls) {
+      case TechClass::Comra:
+        f.timing = comraDelayMemo_.get(event.comraDelay, [&] {
+            return comraDelayGain(event.comraDelay);
+        });
+        break;
+      case TechClass::Simra:
+        f.timing = simraTimingMemo_.get(
+            {event.simraActToPre, event.simraPreToAct}, [&] {
+                return simraTimingGain(event.simraActToPre,
+                                       event.simraPreToAct);
+            });
+        break;
+      case TechClass::Conventional:
+        f.timing = 1.0;
+        break;
+    }
+    f.off = cls == TechClass::Conventional
+                ? offMemo_.get(event.reopenGap,
+                               [&] { return offGain(event.reopenGap); })
+                : 1.0;
+    // The CoMRA/SiMRA temperature gains are pow() of family constants,
+    // identical for every cell; the conventional class keeps its
+    // per-cell slope in the deposit loop.
+    f.temp = cls == TechClass::Conventional
+                 ? 1.0
+                 : tempMemo_.get({cls, event.simraN, temperature}, [&] {
+                       const WeakCell neutral;
+                       return tempGain(cls, event.simraN, temperature,
+                                       neutral);
+                   });
+    return f;
+}
+
 void
 DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
                              Celsius temperature)
@@ -359,14 +414,14 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
     contribs.reserve(event.rows.size() * 4);
 
     for (RowId a : event.rows) {
-        const RowId sub = a / rowsPerSubarray_;
+        const RowId sub = a >> subarrayShift_;
         for (int d : {-2, -1, 1, 2}) {
             const std::int64_t v =
                 static_cast<std::int64_t>(a) + d;
             if (v < 0 || v >= static_cast<std::int64_t>(rows.size()))
                 continue;
             const auto vr = static_cast<RowId>(v);
-            if (vr / rowsPerSubarray_ != sub)
+            if (vr >> subarrayShift_ != sub)
                 continue;  // sense-amp isolation at subarray boundary
             if (is_aggressor(vr))
                 continue;
@@ -386,6 +441,13 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
                       return x.victim < y.victim;
                   });
     }
+
+    // The condition factors depend only on the event and the effective
+    // class (a CoMRA close demotes far victims to conventional), so
+    // they are fetched once per class per close.
+    std::array<ClassFactors, 3> factors;
+    std::array<bool, 3> have_factors{};
+    const int simra_idx = simraIndex(event.simraN);
 
     std::size_t i = 0;
     while (i < contribs.size()) {
@@ -415,7 +477,7 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
             side_strength =
                 (victim.lastSide != 0 && victim.lastSide != s)
                     ? 1.0
-                    : cfg_.singleSidedScale;
+                    : cal_.singleSidedScale;
             new_side = s;
         }
 
@@ -444,31 +506,19 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
         const bool simra_sandwiched =
             eff_cls == TechClass::Simra && has_left && has_right;
 
-        const double common =
-            side_strength *
-            pressGain(eff_cls, event.simraN, event.tOn) *
-            (eff_cls == TechClass::Comra
-                 ? comraDelayGain(event.comraDelay)
-                 : eff_cls == TechClass::Simra
-                       ? simraTimingGain(event.simraActToPre,
-                                         event.simraPreToAct)
-                       : 1.0) *
-            (eff_cls == TechClass::Conventional
-                 ? offGain(event.reopenGap)
-                 : 1.0) *
-            regionGain(eff_cls, event.simraN, region);
+        const auto ci = static_cast<std::size_t>(eff_cls);
+        if (!have_factors[ci]) {
+            factors[ci] = classFactors(eff_cls, event, temperature);
+            have_factors[ci] = true;
+        }
+        const ClassFactors &f = factors[ci];
 
-        // The CoMRA/SiMRA temperature gains are pow() of family
-        // constants -- identical for every cell of the victim -- and so
-        // is the SiMRA N index; hoist both out of the per-cell fold.
-        // (The conventional class keeps its per-cell slope inline.)
-        const int simra_idx = simraIndex(event.simraN);
-        const WeakCell neutralCell;
-        const double class_temp =
-            eff_cls == TechClass::Conventional
-                ? 1.0
-                : tempGain(eff_cls, event.simraN, temperature,
-                           neutralCell);
+        // Keep this operand order (side, press, timing, off, region):
+        // regrouping the product would change the rounded result.
+        const double common = side_strength * f.press * f.timing *
+                              f.off *
+                              regionGain(eff_cls, event.simraN, region);
+        const double class_temp = f.temp;
         const double simra_tech =
             simra_sandwiched ? 0.0 : kSimraEdgeGain[simra_idx];
 
@@ -488,7 +538,7 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
                     dist_w = c.side > 0 ? 2.0 * cell.upperShare
                                         : 2.0 * (1.0 - cell.upperShare);
                 } else {
-                    dist_w = cfg_.distance2Weight;
+                    dist_w = cal_.distance2Weight;
                 }
 
                 double tech;

@@ -20,6 +20,8 @@
 #ifndef PUD_DRAM_DISTURB_H
 #define PUD_DRAM_DISTURB_H
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "dram/cell.h"
@@ -144,12 +146,15 @@ struct DamageDelta
 using DamageRecord = std::vector<DamageDelta>;
 
 /**
- * Applies close events to a bank's rows.  Owned by Device; stateless
- * apart from calibration constants and an optional recording sink.
+ * Applies close events to a bank's rows.  Owned by Device; its only
+ * state beyond calibration constants is an optional recording sink
+ * and a memo of the pure condition factors, which never changes a
+ * result (a rebuilt model starts with an empty memo).
  */
 class DisturbanceModel
 {
   public:
+    /** Fatal unless cfg.rowsPerSubarray is a power of two. */
     DisturbanceModel(const DeviceConfig &cfg);
 
     /**
@@ -222,12 +227,6 @@ class DisturbanceModel
     Region regionOf(RowId physical_row) const;
 
   private:
-    void disturbVictim(Row &victim, RowId victim_row,
-                       const CloseEvent &event,
-                       const std::vector<Row> &rows, Celsius temperature,
-                       const std::vector<RowId> &left_aggressors,
-                       const std::vector<RowId> &right_aggressors);
-
     /**
      * Deposit damage from a class: full amount into the class's own
      * accumulator, and a calibrated cross-transfer fraction into the
@@ -251,8 +250,100 @@ class DisturbanceModel
         int side;  //!< -1: aggressor below victim, +1: above
     };
 
-    DeviceConfig cfg_;
-    RowId rowsPerSubarray_;
+    /**
+     * Exact-key memo of one pure factor function.  Successive closes
+     * of a hammer loop repeat the same few arguments, so a handful of
+     * entries (round-robin replacement) answers almost every lookup;
+     * keys compare with ==, so a hit returns the very double the
+     * factor function computed for that key.
+     */
+    template <typename Key, std::size_t N = 4>
+    struct FactorMemo
+    {
+        std::array<Key, N> keys;
+        std::array<double, N> values;
+        std::size_t size = 0;  //!< entries [0, size) are valid
+        std::size_t next = 0;
+
+        template <typename F>
+        double
+        get(const Key &key, F &&compute)
+        {
+            for (std::size_t i = 0; i < size; ++i)
+                if (keys[i] == key)
+                    return values[i];
+            const double v = compute();
+            keys[next] = key;
+            values[next] = v;
+            next = (next + 1) % N;
+            size = std::min(size + 1, N);
+            return v;
+        }
+    };
+
+    /** The per-close factors of one effective technique class. */
+    struct ClassFactors
+    {
+        double press = 0;   //!< pressGain(cls, simraN, tOn)
+        double timing = 0;  //!< comraDelayGain / simraTimingGain / 1.0
+        double off = 0;     //!< offGain(reopenGap) (conventional) or 1.0
+        double temp = 0;    //!< class tempGain (non-conventional) or 1.0
+    };
+
+    /** Memoized factors of `cls` under `event` at `temperature`. */
+    ClassFactors classFactors(TechClass cls, const CloseEvent &event,
+                              Celsius temperature);
+
+    /**
+     * The DeviceConfig fields the factors read, copied out so that a
+     * model (built per Device, per Device::reset and per static
+     * prediction) copies no strings.
+     */
+    struct Calibration
+    {
+        Manufacturer mfr;
+        bool trueAntiCells;
+        double comraTempGain50To80;
+        std::array<double, 5> simraTempGain50To80;
+        std::array<double, kNumRegions> comraRegionGain;
+        Time simraPartialActToPre;
+        double distance2Weight;
+        double singleSidedScale;
+    };
+    Calibration cal_;
+
+    /** log2 / mask of the (power-of-two) rows per subarray. */
+    unsigned subarrayShift_;
+    RowId subarrayMask_;
+
+    /** Memo keys; no initializers, so a model (built per Device and
+     *  per reset) pays nothing for the empty memo. */
+    struct ClassKey
+    {
+        TechClass cls;
+        int simraN;
+        Time tOn;
+        bool operator==(const ClassKey &) const = default;
+    };
+    struct TempKey
+    {
+        TechClass cls;
+        int simraN;
+        Celsius temp;
+        bool operator==(const TempKey &) const = default;
+    };
+    struct GapKey
+    {
+        Time actToPre;
+        Time preToAct;
+        bool operator==(const GapKey &) const = default;
+    };
+
+    FactorMemo<ClassKey> pressMemo_;
+    FactorMemo<Time> comraDelayMemo_;
+    FactorMemo<GapKey> simraTimingMemo_;
+    FactorMemo<Time> offMemo_;
+    FactorMemo<TempKey> tempMemo_;
 
     /**
      * Scratch for applyClose, reused across close events.  Every close

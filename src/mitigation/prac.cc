@@ -10,7 +10,7 @@ namespace pud::mitigation {
 PracCounters::PracCounters(const PracConfig &cfg, BankId banks,
                            RowId rows_per_bank)
     : cfg_(cfg), rowsPerBank_(rows_per_bank),
-      counters_(banks, std::vector<std::uint32_t>(rows_per_bank, 0))
+      banks_(banks, Bank{std::vector<std::uint32_t>(rows_per_bank, 0)})
 {
     if (cfg.rdt == 0)
         fatal("PracCounters: RDT must be positive");
@@ -19,9 +19,14 @@ PracCounters::PracCounters(const PracConfig &cfg, BankId banks,
 bool
 PracCounters::bump(BankId bank, RowId row, std::uint32_t amount)
 {
-    auto &c = counters_.at(bank).at(row);
+    Bank &b = banks_.at(bank);
+    auto &c = b.counters.at(row);
+    const bool was = c >= cfg_.rdt;
     c += amount;
-    return c >= cfg_.rdt;
+    const bool now = c >= cfg_.rdt;
+    if (now != was)
+        now ? ++b.atRdt : --b.atRdt;
+    return now;
 }
 
 bool
@@ -71,7 +76,8 @@ PracCounters::updateLatency(int rows_updated) const
 int
 PracCounters::onRfm(BankId bank, std::vector<RowId> *refreshed_rows)
 {
-    auto &c = counters_.at(bank);
+    Bank &b = banks_.at(bank);
+    auto &c = b.counters;
     int refreshed = 0;
     for (int k = 0; k < cfg_.victimsPerRfm; ++k) {
         auto it = std::max_element(c.begin(), c.end());
@@ -80,6 +86,8 @@ PracCounters::onRfm(BankId bank, std::vector<RowId> *refreshed_rows)
         if (refreshed_rows != nullptr)
             refreshed_rows->push_back(
                 static_cast<RowId>(it - c.begin()));
+        if (*it >= cfg_.rdt)
+            --b.atRdt;
         *it = 0;
         ++refreshed;
     }
@@ -89,16 +97,13 @@ PracCounters::onRfm(BankId bank, std::vector<RowId> *refreshed_rows)
 bool
 PracCounters::alertPending(BankId bank) const
 {
-    const auto &c = counters_.at(bank);
-    return std::any_of(c.begin(), c.end(), [this](std::uint32_t v) {
-        return v >= cfg_.rdt;
-    });
+    return banks_.at(bank).atRdt > 0;
 }
 
 std::uint32_t
 PracCounters::counter(BankId bank, RowId row) const
 {
-    return counters_.at(bank).at(row);
+    return banks_.at(bank).counters.at(row);
 }
 
 } // namespace pud::mitigation

@@ -94,7 +94,7 @@ class PracCounters
      */
     int onRfm(BankId bank, std::vector<RowId> *refreshed = nullptr);
 
-    /** True while any counter in the bank is at/above the RDT. */
+    /** True while any counter in the bank is at/above the RDT; O(1). */
     bool alertPending(BankId bank) const;
 
     std::uint32_t counter(BankId bank, RowId row) const;
@@ -103,9 +103,18 @@ class PracCounters
   private:
     bool bump(BankId bank, RowId row, std::uint32_t amount);
 
+    struct Bank
+    {
+        std::vector<std::uint32_t> counters;
+
+        /** Counters at/above the RDT, kept in step by bump() and
+         *  onRfm() so the alert check needs no scan. */
+        std::size_t atRdt = 0;
+    };
+
     PracConfig cfg_;
     RowId rowsPerBank_;
-    std::vector<std::vector<std::uint32_t>> counters_;
+    std::vector<Bank> banks_;
 };
 
 } // namespace pud::mitigation

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "dram/device.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -214,6 +215,101 @@ TEST(Device, SimraMajorityMergesData)
     const RowData expect(256, DataPattern::PFF);
     EXPECT_EQ(dev.readRowDirect(0, dev.toLogical(phys1)), expect);
     EXPECT_EQ(dev.readRowDirect(0, dev.toLogical(phys2)), expect);
+}
+
+/**
+ * Per-column majority of `ops`, with even-N ties taking ops.front()'s
+ * bit: the bit-at-a-time reference the device's word-level kernel
+ * must reproduce.
+ */
+RowData
+referenceMajority(const std::vector<RowData> &ops, ColId cols)
+{
+    RowData out(cols);
+    const std::size_t n = ops.size();
+    for (ColId col = 0; col < cols; ++col) {
+        std::size_t ones = 0;
+        for (const RowData &op : ops)
+            ones += op.get(col);
+        bool bit;
+        if (2 * ones > n)
+            bit = true;
+        else if (2 * ones < n)
+            bit = false;
+        else
+            bit = ops.front().get(col);
+        out.set(col, bit);
+    }
+    return out;
+}
+
+TEST(Device, SimraMajorityMatchesPerColumnReference)
+{
+    Rng rng(12);
+    for (ColId cols : {256u, 1000u}) {
+        DeviceConfig cfg = smallConfig();
+        cfg.cols = cols;
+        cfg.weakCellsPerRow = 0;  // no flips: the view is the data
+        for (RowId n : {2u, 4u, 8u, 16u, 32u}) {
+            for (int trial = 0; trial < 4; ++trial) {
+                Device dev(cfg);
+                // Offsets differing in the low log2(n) bits (bit 0
+                // included, so n = 32 resolves): the group is the n
+                // consecutive physical rows starting at `lo`.
+                const RowId lo = 64 + (trial % 2) * 32;
+                const RowId hi = lo + n - 1;
+
+                std::vector<RowData> ops(n, RowData(cols));
+                for (ColId col = 0; col < cols; ++col) {
+                    if (rng.below(4) == 0) {
+                        // Forced tie: exactly n/2 ones.
+                        std::vector<RowId> idx(n);
+                        for (RowId k = 0; k < n; ++k)
+                            idx[k] = k;
+                        for (RowId k = 0; k < n / 2; ++k) {
+                            std::swap(idx[k],
+                                      idx[k + rng.below(n - k)]);
+                            ops[idx[k]].set(col, true);
+                        }
+                    } else {
+                        for (RowData &op : ops)
+                            op.set(col, rng.below(2) != 0);
+                    }
+                }
+                if (trial == 3) {
+                    // Already-agreeing operands (the steady state).
+                    for (RowData &op : ops)
+                        op = ops.front();
+                }
+                for (RowId k = 0; k < n; ++k)
+                    dev.writeRowDirect(0, dev.toLogical(lo + k), ops[k]);
+
+                // Issue order does not matter: the group is sorted.
+                const RowId first = trial % 2 ? hi : lo;
+                const RowId second = trial % 2 ? lo : hi;
+                Cmd c(dev);
+                c.act(0, dev.toLogical(first))
+                    .pre(0, units::fromNs(3))
+                    .act(0, dev.toLogical(second), units::fromNs(3))
+                    .pre(0, units::fromNs(36));
+                dev.flush();
+                ASSERT_EQ(dev.counters().simraOps, 1u);
+
+                const RowData want = referenceMajority(ops, cols);
+                for (RowId k = 0; k < n; ++k) {
+                    const RowData got =
+                        dev.readRowDirect(0, dev.toLogical(lo + k));
+                    EXPECT_EQ(got, want) << "cols " << cols << " n "
+                                         << n << " row " << lo + k;
+                    EXPECT_EQ(got.diffCount(want), 0u);
+                    if (cols % 64 != 0) {
+                        EXPECT_EQ(got.words().back() >> (cols % 64),
+                                  0u);
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Device, NonSimraChipIgnoresViolatingSequence)

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "dram/disturb.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -329,6 +331,138 @@ TEST(ApplyClose, RecordingReplaysExactly)
     DisturbanceModel::replay(record, 10);
     EXPECT_NEAR(rows[3].cells[0].damage[0], after_one + 11 * per_iter,
                 1e-3 * per_iter);
+}
+
+/**
+ * The factor memo never changes a result: a close sequence cycling
+ * through more distinct t_on / CoMRA-delay / SiMRA-gap / reopen-gap
+ * values than the memo holds, with the temperature changed partway
+ * (as Device::setTemperature does), deposits bit-identical damage
+ * through one long-lived model and through a fresh model per close.
+ */
+TEST(ApplyClose, FactorMemoMatchesFreshModelPerClose)
+{
+    const DeviceConfig cfg = hynixConfig();
+    Rng rng(5);
+
+    std::vector<Row> rows(64);
+    for (Row &row : rows) {
+        row.data = RowData(cfg.cols);
+        for (ColId col = 0; col < cfg.cols; ++col)
+            row.data.set(col, rng.below(2) != 0);
+        for (int k = 0; k < 6; ++k) {
+            WeakCell cell;
+            cell.col = static_cast<ColId>(rng.below(cfg.cols));
+            cell.baseHc = static_cast<float>(rng.uniform(1e4, 1e5));
+            cell.comraFactor = static_cast<float>(rng.uniform(1, 3));
+            for (float &f : cell.simraFactor)
+                f = static_cast<float>(rng.uniform(0.5, 50));
+            cell.tempSlopeConv = static_cast<float>(rng.uniform(-0.3, 0.5));
+            cell.upperShare = static_cast<float>(rng.uniform(0.4, 0.6));
+            cell.dstRoleGain = static_cast<float>(rng.uniform(0.9, 1.1));
+            cell.dirConv = rng.below(2) ? FlipDirection::ZeroToOne
+                                        : FlipDirection::OneToZero;
+            cell.dirSimra = rng.below(2) ? FlipDirection::ZeroToOne
+                                         : FlipDirection::OneToZero;
+            row.cells.push_back(cell);
+        }
+    }
+    std::vector<Row> fresh_rows = rows;
+
+    const double t_ons[] = {20, 36, 50, 144, 500, 7800};
+    const double delays[] = {6, 7.5, 9, 10.5, 12};
+    const double gaps[] = {1.5, 2.0, 3.0, 4.5, 6.0};
+    const double reopens[] = {0, 15, 40, 63.5, 200, 1000};
+    const int simra_ns[] = {2, 4, 8};
+
+    DisturbanceModel memo(cfg);
+    Celsius temp = 80.0;
+    for (int i = 0; i < 600; ++i) {
+        if (i == 250)
+            temp = 50.0;
+        if (i == 450)
+            temp = 65.0;
+        CloseEvent ev;
+        ev.tOn = units::fromNs(t_ons[i % 6]);
+        ev.reopenGap = units::fromNs(reopens[(i / 2) % 6]);
+        switch (i % 3) {
+          case 0:
+            ev.cls = TechClass::Conventional;
+            ev.rows = {static_cast<RowId>(10 + i % 5)};
+            break;
+          case 1:
+            ev.cls = TechClass::Comra;
+            ev.rows = {30};
+            // Partner near (local) or far (demoted to conventional).
+            ev.comraPartner = (i / 3) % 2 ? 32 : 40;
+            ev.comraDstRole = (i / 6) % 2 != 0;
+            ev.comraDelay = units::fromNs(delays[(i / 3) % 5]);
+            break;
+          default: {
+            ev.cls = TechClass::Simra;
+            ev.simraN = simra_ns[(i / 3) % 3];
+            for (int k = 0; k < ev.simraN; ++k)
+                ev.rows.push_back(static_cast<RowId>(48 + 2 * k));
+            ev.simraActToPre = units::fromNs(gaps[(i / 3) % 5]);
+            ev.simraPreToAct = units::fromNs(gaps[(i / 9) % 5]);
+            break;
+          }
+        }
+        memo.applyClose(rows, ev, temp);
+        DisturbanceModel(cfg).applyClose(fresh_rows, ev, temp);
+    }
+
+    std::size_t damaged = 0;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        EXPECT_EQ(rows[r].lastSide, fresh_rows[r].lastSide);
+        for (std::size_t k = 0; k < rows[r].cells.size(); ++k) {
+            for (int c = 0; c < 3; ++c) {
+                const float a = rows[r].cells[k].damage[c];
+                const float b = fresh_rows[r].cells[k].damage[c];
+                EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+                    << "row " << r << " cell " << k << " class " << c;
+                damaged += a > 0.0f;
+            }
+        }
+    }
+    EXPECT_GT(damaged, 50u);
+}
+
+/**
+ * One CoMRA close can need two classes' factors: victims near both
+ * operands take the CoMRA class, far ones fall back to conventional.
+ * A near victim must receive the same CoMRA deposit whether or not a
+ * conventional victim was processed before it in the same close.
+ */
+TEST(ApplyClose, FactorsKeyedByEffectiveClass)
+{
+    const DeviceConfig cfg = hynixConfig();
+    std::vector<Row> rows(64);
+    for (Row &row : rows)
+        row.data = RowData(cfg.cols, DataPattern::PAA);
+    rows[30].data = RowData(cfg.cols, DataPattern::P55);
+    WeakCell cell;
+    cell.col = 0;  // 0xAA bit 0 = 0: flips 0 -> 1
+    cell.baseHc = 1000.0f;
+    cell.comraFactor = 3.0f;
+    rows[31].cells.push_back(cell);
+    rows[28].cells.push_back(cell);
+    std::vector<Row> far_first = rows;
+
+    CloseEvent ev;
+    ev.rows = {30};
+    ev.cls = TechClass::Comra;
+    ev.tOn = units::fromNs(500);
+    ev.comraDelay = units::fromNs(7.5);
+    ev.comraPartner = 30;  // every victim near both operands
+    DisturbanceModel(cfg).applyClose(rows, ev, 80.0);
+    ev.comraPartner = 32;  // victims 28 and 29 are far: conventional
+    DisturbanceModel(cfg).applyClose(far_first, ev, 80.0);
+
+    EXPECT_GT(rows[31].cells[0].damage[1], 0.0f);
+    EXPECT_EQ(rows[31].cells[0].damage, far_first[31].cells[0].damage);
+    EXPECT_GT(far_first[28].cells[0].damage[0], 0.0f);
+    EXPECT_EQ(far_first[28].cells[0].damage[1], 0.0f);
 }
 
 TEST(FoldThreshold, AnchorBudgetHitsRegionGain)

@@ -8,6 +8,8 @@
 #include <cmath>
 
 #include "hammer/experiment.h"
+#include "mitigation/countermeasures.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -239,6 +241,46 @@ TEST_F(TrrExperimentTest, TrrDisabledAfterRun)
     ModuleTester t(config());
     runTrrExperiment(t, TrrTechnique::RowHammer, trrConfig(), true);
     EXPECT_FALSE(t.device().trrEnabled());
+}
+
+/** Value of one obs counter (0 if it was never interned). */
+std::uint64_t
+counterValue(const char *name)
+{
+    for (const auto &c : obs::metrics().snapshot().counters)
+        if (c.name == name)
+            return c.value;
+    return 0;
+}
+
+/**
+ * A hooked device never exposes a replayable steady state, so the
+ * executor burns its two recording strikes and finishes each long
+ * loop naively; --metrics must count that, while a REF-free hammer
+ * that fast-paths must not.
+ */
+TEST_F(TrrExperimentTest, StrikeFallbacksCountHookedRunsOnly)
+{
+    obs::metrics().reset();
+    obs::metrics().setEnabled(true);
+
+    ModuleTester t(config());
+    const dram::DeviceConfig &dc = t.device().config();
+    mitigation::PracMitigation prac(mitigation::PracConfig{}, dc.banks,
+                                    dc.rowsPerBank(), dc.rowsPerSubarray);
+    TrrConfig cfg = trrConfig();
+    cfg.hammersPerAggressor = 20000;
+    runTrrExperiment(t, TrrTechnique::RowHammer, cfg, false, &prac);
+    EXPECT_GT(counterValue("executor.strike_fallbacks"), 0u);
+
+    obs::metrics().reset();
+    ModuleTester fast(config());
+    fast.rhDouble(200, ModuleTester::Options{});
+    EXPECT_GT(counterValue("executor.fastpath_iterations"), 0u);
+    EXPECT_EQ(counterValue("executor.strike_fallbacks"), 0u);
+
+    obs::metrics().setEnabled(false);
+    obs::metrics().reset();
 }
 
 } // namespace

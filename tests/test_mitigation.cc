@@ -11,7 +11,9 @@
 
 #include "bender/host.h"
 #include "mitigation/countermeasures.h"
+#include "mitigation/mitsem.h"
 #include "mitigation/prac.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -92,6 +94,89 @@ TEST(Prac, RfmResetsHottestRows)
     EXPECT_EQ(prac.counter(0, 4), 0u);
     EXPECT_EQ(prac.counter(0, 5), 10u);
     EXPECT_FALSE(prac.alertPending(0));
+}
+
+/**
+ * The O(1) alert check against a brute-force scan: a random sequence
+ * of every update path and of RFMs, over two small banks so counters
+ * tie, cross the RDT and get drained often, must agree with a plain
+ * counter array on every return value, every alert check, every RFM's
+ * refreshed rows (first-max tie order) and every counter.
+ */
+TEST(Prac, AlertCheckMatchesBruteForceScan)
+{
+    PracConfig cfg = weightedConfig();
+    cfg.rdt = 60;
+    cfg.comraWeight = 7;
+    cfg.simraWeight = 25;
+    cfg.victimsPerRfm = 2;
+    const BankId banks = 2;
+    const RowId rows = 16;
+    PracCounters prac(cfg, banks, rows);
+    std::vector<std::vector<std::uint32_t>> ref(
+        banks, std::vector<std::uint32_t>(rows, 0));
+
+    Rng rng(7);
+    for (int step = 0; step < 20000; ++step) {
+        const auto b = static_cast<BankId>(rng.below(banks));
+        std::vector<std::uint32_t> &c = ref[b];
+        const auto r = static_cast<RowId>(rng.below(rows));
+        const RowId r2 = (r + 1 + rng.below(rows - 1)) % rows;
+        auto bump = [&](RowId row, std::uint32_t w) {
+            c[row] += w;
+            return c[row] >= cfg.rdt;
+        };
+        switch (rng.below(5)) {
+          case 0:
+            ASSERT_EQ(prac.onActivate(b, r), bump(r, 1));
+            break;
+          case 1: {
+            const bool a = bump(r, cfg.comraWeight);
+            const bool d = bump(r2, cfg.comraWeight);
+            ASSERT_EQ(prac.onComra(b, r, r2), a || d);
+            break;
+          }
+          case 2: {
+            const std::array<RowId, 2> group{r, r2};
+            const bool a = bump(r, cfg.simraWeight);
+            const bool d = bump(r2, cfg.simraWeight);
+            ASSERT_EQ(prac.onSimra(b, group), a || d);
+            break;
+          }
+          case 3: {
+            const auto cls = static_cast<dram::TechClass>(rng.below(3));
+            const std::array<RowId, 1> one{r};
+            ASSERT_EQ(prac.onClose(b, one, cls),
+                      bump(r, pracCloseWeight(cfg, cls)));
+            break;
+          }
+          default: {
+            std::vector<RowId> want;
+            for (int k = 0; k < cfg.victimsPerRfm; ++k) {
+                const auto it = std::max_element(c.begin(), c.end());
+                if (*it == 0)
+                    break;
+                want.push_back(static_cast<RowId>(it - c.begin()));
+                *it = 0;
+            }
+            std::vector<RowId> got;
+            ASSERT_EQ(prac.onRfm(b, &got),
+                      static_cast<int>(want.size()));
+            ASSERT_EQ(got, want) << "step " << step;
+          }
+        }
+        for (BankId bank = 0; bank < banks; ++bank) {
+            const auto &rc = ref[bank];
+            ASSERT_EQ(prac.alertPending(bank),
+                      std::any_of(rc.begin(), rc.end(),
+                                  [&](std::uint32_t v) {
+                                      return v >= cfg.rdt;
+                                  }))
+                << "step " << step << " bank " << bank;
+            for (RowId row = 0; row < rows; ++row)
+                ASSERT_EQ(prac.counter(bank, row), rc[row]);
+        }
+    }
 }
 
 TEST(Prac, RfmOnIdleBankRefreshesNothing)
