@@ -109,6 +109,17 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
 
     std::uint64_t it = 0;
     int strikes = 0;
+    const Time duration = costs.duration[loop_index];
+
+    // A flat REF-bearing body keeps its record across phase breaks: a
+    // break's refresh resets loop-damaged rows but leaves the steady
+    // state intact, so the record applies again once the rows are back
+    // in their recorded data and side state.  (Nested warm-ups fast-path
+    // their inner loops, so their floats differ from a recording.)
+    const bool reusable_body =
+        loop.cls == BodyClass::Recorded && loop.children.empty();
+    dram::Device::LoopRecord rec;
+    Time last_live = cursor;  //!< start of the latest live iteration
 
     // Each chunk: two warm-up iterations reach steady state (CoMRA
     // copies settle, side-alternation state stabilizes), one recorded
@@ -116,25 +127,60 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
     // replays arithmetically.  A REF-free body replays to completion
     // in one chunk; a REF-bearing body replays until a refresh is
     // about to land on a loop-damaged row (phase break), executes that
-    // iteration live, and re-records.  A body whose refreshes keep
-    // colliding with its own rows never settles -- after two fruitless
-    // chunks we stop re-recording and finish naively.
+    // iteration live, and either reuses the record -- live warm-ups
+    // only until the tracked rows match it, the rest of the chunk's
+    // three iterations applied from it -- or re-records.  A body whose
+    // refreshes keep colliding with its own rows never settles --
+    // after two fruitless chunks we stop re-recording and finish
+    // naively.
     while (n - it >= kFastPathThreshold && strikes < 2) {
         const Time chunk_start = cursor;
-        body();
-        body();
-        device_->beginLoopRecording();
-        recording_ = true;
-        body();
-        recording_ = false;
-        const dram::Device::LoopRecord rec =
-            device_->endLoopRecording();
+        std::uint64_t warmups = 0;
+        bool reused = false;
+        for (;;) {
+            // A steady record is quiescent, so this chunk follows the
+            // phase break that ended its replay.
+            if (rec.steady &&
+                device_->reuseLoopRecord(
+                    rec, 3 - warmups, last_live,
+                    static_cast<Time>(3 - warmups) * duration)) {
+                reused = true;
+                break;
+            }
+            if (warmups == 2)
+                break;
+            last_live = cursor;
+            body();
+            ++warmups;
+        }
+
+        if (reused) {
+            cursor += static_cast<Time>(3 - warmups) * duration;
+            ++stats_.recordReuses;
+            if (obs::metricsOn()) [[unlikely]] {
+                static const obs::CounterId c =
+                    obs::metrics().counterId("executor.record_reuses");
+                obs::metrics().add(c);
+            }
+            if (obs::traceOn()) [[unlikely]]
+                obs::trace().event("fastpath_reuse",
+                                   {{"loop", loop_index},
+                                    {"it", it + 3},
+                                    {"live_warmups", warmups}});
+        } else {
+            rec = {};  // free the old record before a new one grows
+            device_->beginLoopRecording(reusable_body);
+            recording_ = true;
+            body();
+            recording_ = false;
+            rec = device_->endLoopRecording();
+            if (obs::traceOn()) [[unlikely]]
+                obs::trace().event("fastpath_record",
+                                   {{"loop", loop_index},
+                                    {"it", it + 3},
+                                    {"quiescent", rec.quiescent}});
+        }
         it += 3;
-        if (obs::traceOn()) [[unlikely]]
-            obs::trace().event("fastpath_record",
-                               {{"loop", loop_index},
-                                {"it", it},
-                                {"quiescent", rec.quiescent}});
 
         if (!rec.quiescent) {
             ++strikes;
@@ -144,8 +190,7 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
         const std::uint64_t replayed =
             device_->replayLoopIterations(rec, n - it);
         if (replayed > 0) {
-            const Time skipped = static_cast<Time>(replayed) *
-                                 costs.duration[loop_index];
+            const Time skipped = static_cast<Time>(replayed) * duration;
             device_->shiftLoopTimestamps(chunk_start, skipped);
             cursor += skipped;
             it += replayed;
@@ -178,6 +223,7 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
             obs::trace().event(
                 "phase_break",
                 {{"loop", loop_index}, {"it", it}});
+        last_live = cursor;
         body();
         ++it;
         strikes = replayed >= kFastPathThreshold ? 0 : strikes + 1;

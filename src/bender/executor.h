@@ -7,11 +7,12 @@
  * iterations, one steady-state iteration is recorded (damage deltas,
  * TRR sampler pushes, REF anchors, touched rows), and the remaining
  * trip count is replayed arithmetically.  Loop bodies containing REF
- * replay iteration by iteration -- TRR RNG draws and refresh counters
- * advance exactly as live execution would, with a *phase break* back
- * to live execution whenever a refresh is about to land on a
- * loop-damaged row -- while REF-free bodies commit the whole remaining
- * count in one step.  Nested loops fast-path inside naive outer
+ * replay up to the next refresh about to land on a loop-damaged row --
+ * refresh counters and TRR RNG draws advance exactly as live execution
+ * would -- and *phase break* back to live execution there; a flat body
+ * then reuses its record once its rows are back in the recorded
+ * state.  REF-free bodies commit the whole remaining count in one
+ * step.  Nested loops fast-path inside naive outer
  * iterations, and an outer loop records across its inner loops when
  * the cost model says that wins.  Only RD in the body forces fully
  * naive execution (results are collected per iteration).  All of this
@@ -55,6 +56,9 @@ struct ExecStats
     std::uint64_t planCacheHits = 0;
     std::uint64_t planCacheMisses = 0;
     std::uint64_t phaseBreaks = 0;  //!< replays interrupted by a refresh
+    /** Chunks after a phase break that applied the previous record
+     *  instead of re-recording. */
+    std::uint64_t recordReuses = 0;
 };
 
 /** Executes programs against a Device. */

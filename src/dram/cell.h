@@ -153,6 +153,10 @@ struct Row
      */
     bool populated = false;
 
+    /** Device-internal: a loop recording holds this row's state from
+     *  the start of the recorded iteration. */
+    bool inLoopSnapshot = false;
+
     /** When this row last closed; -1 before its first activation. */
     Time lastCloseAt = -1;
 

@@ -254,13 +254,19 @@ void
 Device::restoreRow(BankState &bank, RowId physical)
 {
     Row &row = rowAt(bank, physical);
-    for (WeakCell &cell : row.cells) {
-        if (cell.flipped())
-            row.data.toggle(cell.col);
-        cell.resetDamage();
-        disturb_.noteReset(cell);
-    }
     noteLoopTouched(bank, physical);
+    for (WeakCell &cell : row.cells) {
+        if (cell.flipped()) {
+            row.data.toggle(cell.col);
+            if (recorder_.active && !recorder_.inRefresh)
+                recorder_.materialized = true;
+        }
+        cell.resetDamage();
+        // A refresh's resets stay out of the record: replay and reuse
+        // issue refreshes from the REF counter instead.
+        if (!recorder_.inRefresh)
+            disturb_.noteReset(cell);
+    }
 }
 
 RowData
@@ -348,7 +354,9 @@ Device::trrRecord(BankState &bank, RowId physical)
                 obs::metrics().counterId("device.trr_evictions");
             obs::metrics().add(c);
         }
-        if (obs::traceOn()) [[unlikely]]
+        // The trace event only while TRR can act on the ring: with TRR
+        // off it would be most of a trace's volume and mean nothing.
+        if (trrEnabled_ && obs::traceOn()) [[unlikely]]
             obs::trace().event(
                 "trr_evict",
                 {{"bank", static_cast<std::uint64_t>(
@@ -403,32 +411,14 @@ Device::flushPending(BankState &bank)
     if (!bank.pendingValid)
         return;
     bank.pendingValid = false;
-    if (recorder_.active && !recorder_.inRefresh) {
-        // Over-approximate this close's deposit victims: every row in
-        // the distance-2 blast radius of each closing aggressor (plus
-        // the aggressors themselves, whose lastSide advances).
-        auto &touched = recorder_.touched[bankIndex(bank)];
-        const auto rows =
-            static_cast<std::int64_t>(bank.rows.size());
-        for (RowId a : bank.pending.rows) {
-            touched.push_back(a);
-            const SubarrayId sub = subarrayOfPhysical(a);
-            for (int d : {-2, -1, 1, 2}) {
-                const std::int64_t v =
-                    static_cast<std::int64_t>(a) + d;
-                if (v < 0 || v >= rows)
-                    continue;
-                if (subarrayOfPhysical(static_cast<RowId>(v)) != sub)
-                    continue;
-                touched.push_back(static_cast<RowId>(v));
-            }
-        }
-    }
     // applyClose charges damage onto every weak cell in the closing
     // aggressors' +-2 same-subarray blast radius; those victim rows
     // must have their cell populations drawn before the deposit, or a
-    // lazily-built device would silently drop it.
+    // lazily-built device would silently drop it.  A loop recording
+    // notes the whole radius (plus the aggressors) as touched: an
+    // over-approximation of the deposit victims.
     for (RowId a : bank.pending.rows) {
+        noteLoopTouched(bank, a);
         const SubarrayId sub = subarrayOfPhysical(a);
         for (int d : {-2, -1, 1, 2}) {
             const std::int64_t v = static_cast<std::int64_t>(a) + d;
@@ -438,6 +428,7 @@ Device::flushPending(BankState &bank)
             if (subarrayOfPhysical(static_cast<RowId>(v)) != sub)
                 continue;
             rowAt(bank, static_cast<RowId>(v));
+            noteLoopTouched(bank, static_cast<RowId>(v));
         }
     }
     disturb_.applyClose(bank.rows, bank.pending, temperature_);
@@ -551,12 +542,13 @@ Device::act(Time t, BankId b, RowId logical_row)
             // Destination latches the source's bitline charge: the
             // in-DRAM copy, with full charge restoration on dst.
             restoreRow(bank, src);
-            rowAt(bank, phys).data = bank.rows[src].data;
-            for (WeakCell &c : bank.rows[phys].cells) {
+            Row &dst = rowAt(bank, phys);
+            noteLoopTouched(bank, phys);
+            dst.data = bank.rows[src].data;
+            for (WeakCell &c : dst.cells) {
                 c.resetDamage();
                 disturb_.noteReset(c);
             }
-            noteLoopTouched(bank, phys);
 
             bank.st = BankState::St::Open;
             bank.openRows.assign(1, phys);
@@ -655,12 +647,12 @@ Device::wr(Time t, BankId b, const RowData &data)
     if (data.bits() != cfg_.cols)
         fatal("WR with %u bits to a %u-bit row", data.bits(), cfg_.cols);
     for (RowId r : bank.openRows) {
+        noteLoopTouched(bank, r);
         bank.rows[r].data = data;
         for (WeakCell &c : bank.rows[r].cells) {
             c.resetDamage();
             disturb_.noteReset(c);
         }
-        noteLoopTouched(bank, r);
     }
 }
 
@@ -754,18 +746,50 @@ Device::ref(Time t)
 }
 
 void
-Device::beginLoopRecording()
+Device::beginLoopRecording(bool snapshot)
 {
     if (recorder_.active)
         fatal("Device: nested loop recording");
     recorder_.active = true;
     recorder_.inRefresh = false;
+    // Only a TRR-off, hook-free record can ever be reused.
+    recorder_.snapshot =
+        snapshot && !trrEnabled_ && mitigation_ == nullptr;
+    recorder_.materialized = false;
+    recorder_.start.clear();
+    recorder_.startWords.clear();
     recorder_.countersAtStart = counters_;
     recorder_.samplerActs.assign(banks_.size(), {});
     recorder_.refs.clear();
     recorder_.touched.assign(banks_.size(), {});
     recorder_.refreshTargets.clear();
     disturb_.beginRecording();
+}
+
+void
+Device::snapshotLoopRow(BankState &bank, RowId physical)
+{
+    Row &row = bank.rows[physical];
+    row.inLoopSnapshot = true;
+    const auto &words = row.data.words();
+    recorder_.start.push_back(
+        {static_cast<std::uint32_t>(bankIndex(bank)), physical,
+         row.lastSide,
+         static_cast<std::uint32_t>(recorder_.startWords.size()),
+         static_cast<std::uint32_t>(words.size())});
+    recorder_.startWords.insert(recorder_.startWords.end(), words.begin(),
+                                words.end());
+}
+
+bool
+Device::sameLoopState(const LoopRecord::RowState &state,
+                      const std::vector<std::uint64_t> &words) const
+{
+    const Row &row = banks_[state.bank].rows[state.row];
+    const auto &now = row.data.words();
+    return row.lastSide == state.lastSide && now.size() == state.words &&
+           std::equal(now.begin(), now.end(),
+                      words.begin() + state.word);
 }
 
 Device::LoopRecord
@@ -814,7 +838,221 @@ Device::endLoopRecording()
     // hooked device never exposes a replayable steady state.
     if (mitigation_ != nullptr)
         rec.quiescent = false;
+
+    if (rec.quiescent) {
+        rec.nets = DamageNets::fold(rec.damage);
+        // A REF refreshes the same stripe in every bank, so one slot
+        // set answers "does this REF touch loop state anywhere".
+        if (!rec.refs.empty()) {
+            for (const auto &rows : rec.tracked)
+                for (RowId r : rows)
+                    rec.hitSlots.push_back(stripeSlotOf(r));
+            std::sort(rec.hitSlots.begin(), rec.hitSlots.end());
+            rec.hitSlots.erase(
+                std::unique(rec.hitSlots.begin(), rec.hitSlots.end()),
+                rec.hitSlots.end());
+        }
+    }
+
+    if (recorder_.snapshot) {
+        bool steady = rec.quiescent && !rec.refs.empty() &&
+                      !recorder_.materialized;
+        for (const LoopRecord::RowState &s : recorder_.start) {
+            banks_[s.bank].rows[s.row].inLoopSnapshot = false;
+            steady = steady && sameLoopState(s, recorder_.startWords);
+        }
+        rec.steady = steady;
+        if (steady) {
+            rec.start = recorder_.start;
+            rec.startWords = recorder_.startWords;
+        }
+    }
     return rec;
+}
+
+std::uint64_t
+Device::stripeSlotOf(RowId r) const
+{
+    // REF slot s refreshes [s * rows / window, (s + 1) * rows / window);
+    // the one slot covering r is the first whose end passes it.
+    const auto rows = static_cast<std::uint64_t>(cfg_.rowsPerBank());
+    const auto window =
+        static_cast<std::uint64_t>(cfg_.timings.refsPerWindow);
+    return ((static_cast<std::uint64_t>(r) + 1) * window + rows - 1) /
+               rows -
+           1;
+}
+
+std::uint64_t
+Device::cleanRefsAhead(const LoopRecord &rec) const
+{
+    if (rec.hitSlots.empty())
+        return ~std::uint64_t(0);
+    const auto window =
+        static_cast<std::uint64_t>(cfg_.timings.refsPerWindow);
+    const std::uint64_t slot = refCounter_ % window;
+    const auto next = std::lower_bound(rec.hitSlots.begin(),
+                                       rec.hitSlots.end(), slot);
+    return next != rec.hitSlots.end() ? *next - slot
+                                      : rec.hitSlots.front() + window - slot;
+}
+
+void
+Device::commitStripeRefs(std::uint64_t count)
+{
+    if (count == 0)
+        return;
+    const auto window =
+        static_cast<std::uint64_t>(cfg_.timings.refsPerWindow);
+    const std::uint64_t first = refCounter_ % window;
+    // Stripe refreshes of untracked rows commute with the loop's
+    // deposits and with each other, and a second refresh of a row
+    // nothing deposits into is a no-op.
+    for (BankState &bank : banks_) {
+        for (RowId r : bank.populatedIdx) {
+            if (count >= window ||
+                (stripeSlotOf(r) + window - first) % window < count)
+                refreshRow(bank, r);
+        }
+    }
+    refCounter_ += count;
+    counters_.refs += count;
+}
+
+void
+Device::addIterationCounters(const LoopRecord &rec,
+                             std::uint64_t iterations)
+{
+    counters_.acts += rec.counterDelta.acts * iterations;
+    counters_.pres += rec.counterDelta.pres * iterations;
+    counters_.comraCopies += rec.counterDelta.comraCopies * iterations;
+    counters_.simraOps += rec.counterDelta.simraOps * iterations;
+    counters_.ignoredCommands +=
+        rec.counterDelta.ignoredCommands * iterations;
+}
+
+std::uint64_t
+Device::advanceSamplerRings(const LoopRecord &rec,
+                            std::uint64_t iterations)
+{
+    // Of the iterations * per pushes only the last kTrrWindow can
+    // survive, and the pushed stream is periodic in the body.  Rings
+    // fill in slot order from a reset, so a push evicts exactly when
+    // the ring is already full.
+    std::uint64_t evictions = 0;
+    for (std::size_t b = 0; b < banks_.size(); ++b) {
+        BankState &bank = banks_[b];
+        const std::vector<RowId> &acts = rec.samplerActs[b];
+        const std::uint64_t per = acts.size();
+        const std::uint64_t pushes = per * iterations;
+        if (pushes == 0)
+            continue;
+        const std::uint64_t free = kTrrWindow - bank.trrFill;
+        evictions += pushes - std::min(pushes, free);
+        const std::uint64_t first =
+            pushes > kTrrWindow ? pushes - kTrrWindow : 0;
+        std::size_t slot =
+            static_cast<std::size_t>((bank.trrPos + first) % kTrrWindow);
+        std::size_t src = static_cast<std::size_t>(first % per);
+        for (std::uint64_t i = first; i < pushes; ++i) {
+            bank.trrRing[slot] = acts[src];
+            if (++slot == kTrrWindow)
+                slot = 0;
+            if (++src == per)
+                src = 0;
+        }
+        bank.trrPos = slot;
+        bank.trrFill = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kTrrWindow, bank.trrFill + pushes));
+    }
+    return evictions;
+}
+
+std::uint64_t
+Device::replayTrrDraws(const LoopRecord &rec, std::uint64_t limit,
+                       std::uint64_t &refreshes)
+{
+    const std::size_t nbanks = banks_.size();
+    const RowId rows_per_bank = cfg_.rowsPerBank();
+
+    // The live rings stay frozen until the committed iteration count
+    // is known, so negative virtual indices can read them directly.
+    auto is_tracked = [&](std::size_t b, RowId r) {
+        return std::binary_search(rec.tracked[b].begin(),
+                                  rec.tracked[b].end(), r);
+    };
+    // Sampler ring entry `gidx` pushes after the replay started
+    // (negative = still-live pre-replay slot).
+    auto ring_at = [&](std::size_t b, std::int64_t gidx) -> RowId {
+        if (gidx >= 0)
+            return rec.samplerActs[b][static_cast<std::size_t>(
+                gidx % static_cast<std::int64_t>(
+                           rec.samplerActs[b].size()))];
+        return banks_[b].trrRing[static_cast<std::size_t>(
+            (static_cast<std::int64_t>(banks_[b].trrPos) +
+             static_cast<std::int64_t>(kTrrWindow) + gidx) %
+            static_cast<std::int64_t>(kTrrWindow))];
+    };
+
+    std::uint64_t completed = 0;
+    std::vector<std::pair<std::size_t, RowId>> targets;
+    while (completed < limit) {
+        // Dry-run this iteration's draws in live order, but commit
+        // nothing until the whole iteration is known to stay clear of
+        // tracked rows.  On a hit the RNG rewinds so the caller's live
+        // boundary iteration redraws the exact same stream.
+        const Rng rng_snapshot = trrRng_;
+        targets.clear();
+        bool interesting = false;
+        for (const LoopRecord::RefPoint &rp : rec.refs) {
+            for (std::size_t b = 0; b < nbanks && !interesting; ++b) {
+                const std::uint64_t acts_before =
+                    completed * rec.samplerActs[b].size() +
+                    rp.actsBefore[b];
+                const std::size_t fill =
+                    static_cast<std::size_t>(std::min<std::uint64_t>(
+                        kTrrWindow, banks_[b].trrFill + acts_before));
+                if (fill == 0)
+                    continue;
+                const std::size_t back = trrRng_.below(fill);
+                const RowId aggr = ring_at(
+                    b, static_cast<std::int64_t>(acts_before) - 1 -
+                           static_cast<std::int64_t>(back));
+                if (aggr == kNoRow)
+                    continue;
+                const SubarrayId sub = subarrayOfPhysical(aggr);
+                for (int d : {-1, 1}) {
+                    const std::int64_t v =
+                        static_cast<std::int64_t>(aggr) + d;
+                    if (v < 0 ||
+                        v >= static_cast<std::int64_t>(rows_per_bank))
+                        continue;
+                    if (subarrayOfPhysical(static_cast<RowId>(v)) != sub)
+                        continue;
+                    if (is_tracked(b, static_cast<RowId>(v))) {
+                        interesting = true;
+                        break;
+                    }
+                    targets.emplace_back(b, static_cast<RowId>(v));
+                }
+            }
+            if (interesting)
+                break;
+        }
+        if (interesting) {
+            trrRng_ = rng_snapshot;
+            break;
+        }
+        // Victim refreshes land on untracked rows, whose state is
+        // loop-invariant, so they are order-insensitive.
+        for (const auto &[b, v] : targets) {
+            refreshRow(banks_[b], v);
+            ++counters_.trrRefreshes;
+        }
+        refreshes += targets.size();
+        ++completed;
+    }
+    return completed;
 }
 
 std::uint64_t
@@ -824,165 +1062,28 @@ Device::replayLoopIterations(const LoopRecord &rec,
     if (!rec.quiescent || max_iterations == 0)
         return 0;
 
-    const std::size_t nbanks = banks_.size();
-    const RowId rows_per_bank = cfg_.rowsPerBank();
-    const auto window =
-        static_cast<std::uint64_t>(cfg_.timings.refsPerWindow);
-
-    std::uint64_t completed = 0;
-    std::uint64_t obs_trr_refreshes = 0;
-
-    // Pre-replay sampler state per bank; the live ring stays frozen
-    // until the committed iteration count is known, so negative
-    // virtual indices can read it directly.
-    std::vector<std::size_t> fill0(nbanks), pos0(nbanks);
-    std::vector<std::uint64_t> acts_per_iter(nbanks);
-    for (std::size_t b = 0; b < nbanks; ++b) {
-        fill0[b] = banks_[b].trrFill;
-        pos0[b] = banks_[b].trrPos;
-        acts_per_iter[b] = rec.samplerActs[b].size();
+    // A REF-free body has nothing iteration-dependent between
+    // deposits: the whole remaining trip count commits in one step.
+    std::uint64_t completed = max_iterations;
+    std::uint64_t trr_refreshes = 0;
+    if (!rec.refs.empty()) {
+        // Every iteration before the one holding the first REF whose
+        // stripe covers a tracked row commits (unless a TRR draw
+        // breaks earlier); that iteration is the phase break.
+        completed = std::min(max_iterations,
+                             cleanRefsAhead(rec) / rec.refs.size());
+        if (trrEnabled_)
+            completed = replayTrrDraws(rec, completed, trr_refreshes);
+        commitStripeRefs(completed * rec.refs.size());
     }
-
-    if (rec.refs.empty()) {
-        // Nothing iteration-dependent happens between deposits: the
-        // whole remaining trip count commits in one step.
-        completed = max_iterations;
-    } else {
-        // Union of tracked rows across banks: a REF refreshes the same
-        // stripe range in every bank, so one sorted set answers "does
-        // this stripe touch loop state anywhere".
-        std::vector<RowId> union_tracked;
-        for (const auto &rows : rec.tracked)
-            union_tracked.insert(union_tracked.end(), rows.begin(),
-                                 rows.end());
-        std::sort(union_tracked.begin(), union_tracked.end());
-        union_tracked.erase(
-            std::unique(union_tracked.begin(), union_tracked.end()),
-            union_tracked.end());
-
-        auto stripe_hits_tracked = [&](RowId lo, RowId hi) {
-            const auto it = std::lower_bound(union_tracked.begin(),
-                                             union_tracked.end(), lo);
-            return it != union_tracked.end() && *it < hi;
-        };
-        auto is_tracked = [&](std::size_t b, RowId r) {
-            return std::binary_search(rec.tracked[b].begin(),
-                                      rec.tracked[b].end(), r);
-        };
-        // Sampler ring entry `gidx` pushes after the replay started
-        // (negative = still-live pre-replay slot).
-        auto ring_at = [&](std::size_t b, std::int64_t gidx) -> RowId {
-            if (gidx >= 0)
-                return rec.samplerActs[b][static_cast<std::size_t>(
-                    gidx % static_cast<std::int64_t>(
-                               acts_per_iter[b]))];
-            return banks_[b].trrRing[static_cast<std::size_t>(
-                (static_cast<std::int64_t>(pos0[b]) +
-                 static_cast<std::int64_t>(kTrrWindow) + gidx) %
-                static_cast<std::int64_t>(kTrrWindow))];
-        };
-
-        std::vector<std::pair<std::size_t, RowId>> trr_targets;
-        while (completed < max_iterations) {
-            // Dry-run this iteration's REFs: perform the TRR draws in
-            // live order, but commit nothing until the whole iteration
-            // is known to stay clear of tracked rows.  On a hit the
-            // RNG rewinds so the caller's live boundary iteration
-            // redraws the exact same stream.
-            const Rng rng_snapshot = trrRng_;
-            trr_targets.clear();
-            bool interesting = false;
-            std::uint64_t local_ref = refCounter_;
-            for (const LoopRecord::RefPoint &rp : rec.refs) {
-                const std::uint64_t slot = local_ref % window;
-                ++local_ref;
-                const RowId start = static_cast<RowId>(
-                    slot * rows_per_bank / window);
-                const RowId end = static_cast<RowId>(
-                    (slot + 1) * rows_per_bank / window);
-                if (start < end && stripe_hits_tracked(start, end)) {
-                    interesting = true;
-                    break;
-                }
-                if (!trrEnabled_)
-                    continue;
-                for (std::size_t b = 0; b < nbanks && !interesting;
-                     ++b) {
-                    const std::uint64_t acts_before =
-                        completed * acts_per_iter[b] +
-                        rp.actsBefore[b];
-                    const std::size_t fill =
-                        static_cast<std::size_t>(std::min<std::uint64_t>(
-                            kTrrWindow, fill0[b] + acts_before));
-                    if (fill == 0)
-                        continue;
-                    const std::size_t back = trrRng_.below(fill);
-                    const RowId aggr = ring_at(
-                        b, static_cast<std::int64_t>(acts_before) - 1 -
-                               static_cast<std::int64_t>(back));
-                    if (aggr == kNoRow)
-                        continue;
-                    const SubarrayId sub = subarrayOfPhysical(aggr);
-                    for (int d : {-1, 1}) {
-                        const std::int64_t v =
-                            static_cast<std::int64_t>(aggr) + d;
-                        if (v < 0 ||
-                            v >= static_cast<std::int64_t>(
-                                     rows_per_bank))
-                            continue;
-                        if (subarrayOfPhysical(
-                                static_cast<RowId>(v)) != sub)
-                            continue;
-                        if (is_tracked(b, static_cast<RowId>(v))) {
-                            interesting = true;
-                            break;
-                        }
-                        trr_targets.emplace_back(
-                            b, static_cast<RowId>(v));
-                    }
-                }
-                if (interesting)
-                    break;
-            }
-            if (interesting) {
-                trrRng_ = rng_snapshot;
-                break;
-            }
-
-            // Commit: stripe and TRR refreshes all land on untracked
-            // rows, whose state is loop-invariant, so they are
-            // idempotent and order-insensitive within the iteration.
-            local_ref = refCounter_;
-            for (std::size_t e = 0; e < rec.refs.size(); ++e) {
-                const std::uint64_t slot = local_ref % window;
-                ++local_ref;
-                const RowId start = static_cast<RowId>(
-                    slot * rows_per_bank / window);
-                const RowId end = static_cast<RowId>(
-                    (slot + 1) * rows_per_bank / window);
-                for (BankState &bank : banks_)
-                    for (RowId r = start; r < end; ++r)
-                        refreshRow(bank, r);
-                ++counters_.refs;
-            }
-            refCounter_ = local_ref;
-            for (const auto &[b, v] : trr_targets) {
-                refreshRow(banks_[b], v);
-                ++counters_.trrRefreshes;
-            }
-            obs_trr_refreshes += trr_targets.size();
-            ++completed;
-        }
-    }
-
     if (completed == 0)
         return 0;
 
     // Keep the obs counters in lockstep with counters_ so the metrics
     // totals do not depend on how many REFs were replayed vs executed
-    // live.  Rolled up once after the replay loop (never inside it --
-    // this is the simulator's hottest loop); replay emits no per-REF
-    // trace events, fastpath_replay summarizes them.
+    // live.  Rolled up once per replay (never per REF -- this is the
+    // simulator's hottest loop); replay emits no per-REF trace events,
+    // fastpath_replay summarizes them.
     if (obs::metricsOn()) [[unlikely]] {
         static const obs::CounterId c_refs =
             obs::metrics().counterId("device.refs");
@@ -990,42 +1091,56 @@ Device::replayLoopIterations(const LoopRecord &rec,
             obs::metrics().counterId("device.trr_refreshes");
         if (!rec.refs.empty())
             obs::metrics().add(c_refs, rec.refs.size() * completed);
-        if (obs_trr_refreshes > 0)
-            obs::metrics().add(c_trr, obs_trr_refreshes);
+        if (trr_refreshes > 0)
+            obs::metrics().add(c_trr, trr_refreshes);
     }
 
     // Damage: the recorded iteration's deltas, scaled once.  Safe to
     // defer past the refreshes above because those never touch a
     // deposit-bearing (tracked) row.
-    DisturbanceModel::replay(rec.damage, completed);
-
-    counters_.acts += rec.counterDelta.acts * completed;
-    counters_.pres += rec.counterDelta.pres * completed;
-    counters_.comraCopies += rec.counterDelta.comraCopies * completed;
-    counters_.simraOps += rec.counterDelta.simraOps * completed;
-    counters_.ignoredCommands +=
-        rec.counterDelta.ignoredCommands * completed;
-
-    // Advance each bank's sampler ring closed-form: of the
-    // completed * acts_per_iter pushes only the last kTrrWindow can
-    // survive, and the pushed stream is periodic in the body.
-    for (std::size_t b = 0; b < nbanks; ++b) {
-        BankState &bank = banks_[b];
-        const std::uint64_t per = acts_per_iter[b];
-        const std::uint64_t pushes = per * completed;
-        if (pushes == 0)
-            continue;
-        const std::uint64_t first =
-            pushes > kTrrWindow ? pushes - kTrrWindow : 0;
-        for (std::uint64_t i = first; i < pushes; ++i) {
-            bank.trrRing[(pos0[b] + i) % kTrrWindow] =
-                rec.samplerActs[b][i % per];
-        }
-        bank.trrPos = (pos0[b] + pushes) % kTrrWindow;
-        bank.trrFill = static_cast<std::size_t>(
-            std::min<std::uint64_t>(kTrrWindow, fill0[b] + pushes));
-    }
+    DisturbanceModel::replay(rec.nets, completed);
+    addIterationCounters(rec, completed);
+    advanceSamplerRings(rec, completed);
     return completed;
+}
+
+bool
+Device::reuseLoopRecord(const LoopRecord &rec, std::uint64_t iterations,
+                        Time from, Time skipped)
+{
+    if (!rec.steady || trrEnabled_ || mitigation_ != nullptr)
+        return false;
+    for (const LoopRecord::RowState &s : rec.start)
+        if (!sameLoopState(s, rec.startWords))
+            return false;
+    const std::uint64_t refs = iterations * rec.refs.size();
+    if (cleanRefsAhead(rec) < refs)
+        return false;
+    // Deposits depend on data and side state only (checked above), so
+    // each iteration repeats the recorded events; reapply refuses if a
+    // reset would materialize a flip.
+    if (!disturb_.reapply(rec.damage, rec.nets, iterations))
+        return false;
+
+    commitStripeRefs(refs);
+    addIterationCounters(rec, iterations);
+    const std::uint64_t evictions = advanceSamplerRings(rec, iterations);
+    // Count what the skipped live REFs and ACTs would have counted.
+    if (obs::metricsOn()) [[unlikely]] {
+        static const obs::CounterId c_refs =
+            obs::metrics().counterId("device.refs");
+        obs::metrics().add(c_refs, refs);
+        if (evictions > 0) {
+            static const obs::CounterId c_evict =
+                obs::metrics().counterId("device.trr_evictions");
+            obs::metrics().add(c_evict, evictions);
+        }
+    }
+    // The body's REF pins the clock: each live iteration would have
+    // left it one period later.
+    now_ += skipped;
+    shiftLoopTimestamps(from, skipped);
+    return true;
 }
 
 void
@@ -1040,9 +1155,12 @@ Device::shiftLoopTimestamps(Time from, Time delta)
         }
         if (bank.st == BankState::St::Open && bank.openedAt >= from)
             bank.openedAt += delta;
-        for (Row &row : bank.rows)
+        // Only an activated -- hence populated -- row has a close time.
+        for (RowId r : bank.populatedIdx) {
+            Row &row = bank.rows[r];
             if (row.lastCloseAt >= from)
                 row.lastCloseAt += delta;
+        }
     }
 }
 

@@ -151,6 +151,7 @@ class Device
     struct LoopRecord
     {
         DamageRecord damage;  //!< per-cell deposits/resets, one iteration
+        DamageNets nets;      //!< `damage` folded per cell (quiescent only)
 
         /** ACT/PRE/op counter deltas of one iteration (REF/TRR are
          *  counted live during replay instead). */
@@ -175,10 +176,59 @@ class Device
         /** False if a refresh hit a tracked row *during* recording:
          *  the iteration is then not periodic and must not replay. */
         bool quiescent = true;
+
+        /** Sorted REF-counter slots (mod refsPerWindow) whose stripe
+         *  covers a tracked row of some bank (REF-bearing bodies). */
+        std::vector<std::uint64_t> hitSlots;
+
+        /** A tracked row's state at the start of the iteration; its
+         *  data words are `startWords[word, word + words)`. */
+        struct RowState
+        {
+            std::uint32_t bank;
+            RowId row;
+            std::int8_t lastSide;
+            std::uint32_t word;
+            std::uint32_t words;
+        };
+        std::vector<RowState> start;  //!< kept only when `steady`
+        std::vector<std::uint64_t> startWords;
+
+        /**
+         * True if reuseLoopRecord may apply this record again: it was
+         * recorded with a snapshot, quiescent and REF-bearing, without
+         * TRR or a hook, no restore materialized a flip, and every
+         * tracked row ended the iteration with the data and side state
+         * it started with.
+         */
+        bool steady = false;
     };
 
-    void beginLoopRecording();
+    /**
+     * Start recording one loop iteration.  With `snapshot`, also keep
+     * each tracked row's start-of-iteration data and side state, so
+     * the record can prove itself steady for reuseLoopRecord (only
+     * worth it for flat REF-bearing bodies, whose replay phase-breaks).
+     */
+    void beginLoopRecording(bool snapshot = false);
     LoopRecord endLoopRecording();
+
+    /**
+     * Apply `iterations` further iterations of a steady record event
+     * by event instead of running them live: the same deposits and
+     * resets in the same order, REF stripes, sampler pushes and
+     * counters, with every float identical to live execution.  Then
+     * advance the clock and every timestamp set since `from` (the
+     * start of the last live iteration) by `skipped`, as
+     * shiftLoopTimestamps does.  Refuses -- returning false and
+     * changing nothing -- unless the record is steady, TRR and hooks
+     * are off, every tracked row's data and side state equal the
+     * record's, no applied REF stripe covers a tracked row, and no
+     * applied reset lands on a flipped cell.
+     */
+    bool reuseLoopRecord(const LoopRecord &record,
+                         std::uint64_t iterations, Time from,
+                         Time skipped);
 
     /**
      * Replay up to `max_iterations` further iterations of the recorded
@@ -188,7 +238,10 @@ class Device
      * end); damage deposits are applied once, scaled by the committed
      * count.  Replay stops early -- a *phase break* -- the moment a
      * stripe or TRR refresh would land on a tracked row, with the RNG
-     * rewound so the caller can execute that iteration live.
+     * rewound so the caller can execute that iteration live.  The
+     * first stripe collision comes in closed form from the record's
+     * hit slots, and the skipped REFs refresh only populated rows, so
+     * with TRR off a replay costs O(loop state), not O(#REF).
      */
     std::uint64_t replayLoopIterations(const LoopRecord &record,
                                        std::uint64_t max_iterations);
@@ -314,6 +367,40 @@ class Device
     void trrRecord(BankState &bank, RowId physical);
     void refreshRow(BankState &bank, RowId physical);
 
+    /** The REF-counter slot (mod refsPerWindow) whose stripe covers
+     *  physical row `r`. */
+    std::uint64_t stripeSlotOf(RowId r) const;
+
+    /** REFs from the current counter before the first whose stripe
+     *  covers a row the record tracks (UINT64_MAX if none ever does). */
+    std::uint64_t cleanRefsAhead(const LoopRecord &record) const;
+
+    /** Issue `count` REFs whose stripes miss every loop-tracked row:
+     *  each populated row they cover is refreshed once, which is all
+     *  repeated refreshes of an untouched row amount to. */
+    void commitStripeRefs(std::uint64_t count);
+
+    /** TRR on: replay the record's REF draws iteration by iteration,
+     *  up to `limit` iterations or the first draw that would refresh
+     *  a tracked row (RNG rewound); commits and counts the others'
+     *  victim refreshes and returns the iterations committed. */
+    std::uint64_t replayTrrDraws(const LoopRecord &record,
+                                 std::uint64_t limit,
+                                 std::uint64_t &refreshes);
+
+    /** Per-iteration command counters, `iterations` times over. */
+    void addIterationCounters(const LoopRecord &record,
+                              std::uint64_t iterations);
+
+    /** Push `iterations` of the record's ACTs into every bank's TRR
+     *  sampler ring, closed-form; returns the evictions. */
+    std::uint64_t advanceSamplerRings(const LoopRecord &record,
+                                      std::uint64_t iterations);
+
+    /** A tracked row's data and side state equal `state`'s. */
+    bool sameLoopState(const LoopRecord::RowState &state,
+                       const std::vector<std::uint64_t> &words) const;
+
     /** Restore a row's charge: materialize flips, clear damage. */
     void restoreRow(BankState &bank, RowId physical);
 
@@ -323,13 +410,22 @@ class Device
         return static_cast<std::size_t>(&bank - banks_.data());
     }
 
-    /** Loop-recording hook: the body mutates this row's state. */
+    /**
+     * Loop-recording hook: the body mutates this (populated) row's
+     * state.  Called before the mutation, so a snapshot taken on the
+     * first touch is the row's start-of-iteration state.
+     */
     void
-    noteLoopTouched(const BankState &bank, RowId physical)
+    noteLoopTouched(BankState &bank, RowId physical)
     {
-        if (recorder_.active && !recorder_.inRefresh)
-            recorder_.touched[bankIndex(bank)].push_back(physical);
+        if (!recorder_.active || recorder_.inRefresh)
+            return;
+        recorder_.touched[bankIndex(bank)].push_back(physical);
+        if (recorder_.snapshot && !bank.rows[physical].inLoopSnapshot)
+            snapshotLoopRow(bank, physical);
     }
+
+    void snapshotLoopRow(BankState &bank, RowId physical);
 
     /** Flip-composed view of a row's contents. */
     static RowData viewOf(const Row &row);
@@ -350,6 +446,10 @@ class Device
     {
         bool active = false;
         bool inRefresh = false;  //!< suppress touched-row hooks
+        bool snapshot = false;   //!< capture tracked rows' start state
+        bool materialized = false;  //!< a body restore toggled data
+        std::vector<LoopRecord::RowState> start;
+        std::vector<std::uint64_t> startWords;
         DeviceCounters countersAtStart;
         std::vector<std::vector<RowId>> samplerActs;
         std::vector<LoopRecord::RefPoint> refs;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 
 #include "util/logging.h"
@@ -151,36 +150,84 @@ DisturbanceModel::addDamage(WeakCell &cell, TechClass cls, float delta)
         record_.push_back({&cell, delta, cls, false});
 }
 
-void
-DisturbanceModel::replay(const DamageRecord &record, std::uint64_t times)
+DamageNets
+DamageNets::fold(const DamageRecord &record)
 {
-    // Fold the event stream into per-cell per-class deltas and a
-    // reset flag; the per-iteration map is affine per accumulator.
-    struct Net
-    {
-        float delta[3] = {0, 0, 0};
-        bool reset = false;
-    };
-    std::unordered_map<WeakCell *, Net> net;
-    for (const auto &e : record) {
-        auto &state = net[e.cell];
+    DamageNets out;
+    out.netOf.reserve(record.size());
+
+    // Open addressing on the cell address, at most half full.
+    constexpr std::uint32_t kEmpty = ~std::uint32_t(0);
+    const int bits = std::bit_width(2 * record.size() + 1);
+    const std::size_t mask = (std::size_t{1} << bits) - 1;
+    std::vector<std::uint32_t> table(mask + 1, kEmpty);
+
+    for (const DamageDelta &e : record) {
+        std::size_t i =
+            static_cast<std::size_t>(
+                reinterpret_cast<std::uintptr_t>(e.cell) *
+                0x9E3779B97F4A7C15ULL) >>
+            (64 - bits);
+        while (table[i] != kEmpty && out.cells[table[i]].cell != e.cell)
+            i = (i + 1) & mask;
+        if (table[i] == kEmpty) {
+            table[i] = static_cast<std::uint32_t>(out.cells.size());
+            out.cells.push_back({e.cell, {0.0f, 0.0f, 0.0f}, false});
+        }
+        out.netOf.push_back(table[i]);
+
+        // Per cell the iteration is affine per accumulator: a reset
+        // makes the post-iteration damage a fixed point.
+        Net &net = out.cells[table[i]];
         if (e.reset) {
-            state.delta[0] = state.delta[1] = state.delta[2] = 0.0f;
-            state.reset = true;
+            net.delta = {0.0f, 0.0f, 0.0f};
+            net.reset = true;
         } else {
-            state.delta[static_cast<int>(e.cls)] += e.delta;
+            net.delta[static_cast<int>(e.cls)] += e.delta;
         }
     }
-    for (const auto &[cell, state] : net) {
-        if (state.reset)
+    return out;
+}
+
+void
+DisturbanceModel::replay(const DamageNets &nets, std::uint64_t times)
+{
+    for (const DamageNets::Net &net : nets.cells) {
+        if (net.reset)
             continue;  // fixed point already reached
         for (int cls = 0; cls < 3; ++cls) {
-            if (state.delta[cls] != 0.0f) {
-                deposit(*cell, static_cast<TechClass>(cls),
-                        state.delta[cls] * static_cast<float>(times));
+            if (net.delta[cls] != 0.0f) {
+                deposit(*net.cell, static_cast<TechClass>(cls),
+                        net.delta[cls] * static_cast<float>(times));
             }
         }
     }
+}
+
+bool
+DisturbanceModel::reapply(const DamageRecord &record,
+                          const DamageNets &nets, std::uint64_t times)
+{
+    // Run on copies first, so a refusal leaves every cell untouched.
+    std::vector<WeakCell> &trial = reapplyScratch_;
+    trial.clear();
+    for (const DamageNets::Net &net : nets.cells)
+        trial.push_back(*net.cell);
+    for (std::uint64_t t = 0; t < times; ++t) {
+        for (std::size_t e = 0; e < record.size(); ++e) {
+            WeakCell &cell = trial[nets.netOf[e]];
+            if (!record[e].reset) {
+                deposit(cell, record[e].cls, record[e].delta);
+            } else if (cell.flipped()) {
+                return false;
+            } else {
+                cell.resetDamage();
+            }
+        }
+    }
+    for (std::size_t i = 0; i < trial.size(); ++i)
+        nets.cells[i].cell->damage = trial[i].damage;
+    return true;
 }
 
 double

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "dram/cell.h"
@@ -146,6 +147,28 @@ struct DamageDelta
 using DamageRecord = std::vector<DamageDelta>;
 
 /**
+ * A DamageRecord folded per cell, once, so that scaled replay and
+ * event-by-event re-application need no per-call lookup table.
+ */
+struct DamageNets
+{
+    struct Net
+    {
+        WeakCell *cell;
+        /** Per-class deposit sums of the iteration, in record order
+         *  (meaningless when `reset`). */
+        std::array<float, 3> delta;
+        /** The iteration restores the cell's charge: its damage after
+         *  the iteration is a fixed point. */
+        bool reset;
+    };
+    std::vector<Net> cells;            //!< one per cell, first-touch order
+    std::vector<std::uint32_t> netOf;  //!< per record event: its entry
+
+    static DamageNets fold(const DamageRecord &record);
+};
+
+/**
  * Applies close events to a bank's rows.  Owned by Device; its only
  * state beyond calibration constants is an optional recording sink
  * and a memo of the pure condition factors, which never changes a
@@ -187,7 +210,18 @@ class DisturbanceModel
      * iterations leave it unchanged; otherwise the iteration adds a
      * constant, which scales linearly with the remaining trip count.
      */
-    static void replay(const DamageRecord &record, std::uint64_t times);
+    static void replay(const DamageNets &nets, std::uint64_t times);
+
+    /**
+     * Apply a record `times` more times event by event: the same
+     * deposit()/resetDamage() calls, in the same order, as the live
+     * closes that produced it, so every float comes out identical.
+     * Refuses (returns false, changing nothing) if a reset would land
+     * on a flipped cell -- live, that restore would materialize the
+     * flip into the row's data.
+     */
+    bool reapply(const DamageRecord &record, const DamageNets &nets,
+                 std::uint64_t times);
 
     /** Record a charge restoration while recording (no-op otherwise). */
     void
@@ -356,6 +390,9 @@ class DisturbanceModel
 
     bool recording_ = false;
     DamageRecord record_;
+
+    /** reapply()'s trial copies of the record's cells. */
+    std::vector<WeakCell> reapplyScratch_;
 };
 
 } // namespace pud::dram

@@ -328,7 +328,7 @@ TEST(ApplyClose, RecordingReplaysExactly)
     const auto record = m.endRecording();
     const float per_iter = rows[3].cells[0].damage[0] - after_one;
 
-    DisturbanceModel::replay(record, 10);
+    DisturbanceModel::replay(DamageNets::fold(record), 10);
     EXPECT_NEAR(rows[3].cells[0].damage[0], after_one + 11 * per_iter,
                 1e-3 * per_iter);
 }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "bender/host.h"
+#include "fuzz/campaign.h"
+#include "fuzz/fuzz.h"
 #include "hammer/patterns.h"
 
 namespace {
@@ -440,6 +442,508 @@ TEST(Executor, NestedLoopFastPathMatchesNaive)
     };
 
     expectSameRun(run(true), run(false));
+}
+
+// ---- record reuse across phase breaks --------------------------------
+
+/** The fuzzer's campaign device: one 128-row bank of 64-bit rows. */
+DeviceConfig
+campaignConfig(std::uint64_t seed)
+{
+    fuzz::CampaignConfig cc;
+    cc.seed = seed;
+    return fuzz::campaignDeviceConfig(cc);
+}
+
+/** Issue insts [begin, end) of a flat body as Executor::execOne does. */
+void
+issueBody(Device &dev, const Program &p, std::size_t begin,
+          std::size_t end, Time &cursor)
+{
+    for (std::size_t i = begin; i < end; ++i) {
+        const Inst &inst = p.insts()[i];
+        cursor += inst.gap;
+        switch (inst.op) {
+          case Op::Act:
+            dev.act(cursor, inst.bank, inst.row);
+            break;
+          case Op::Pre:
+            dev.pre(cursor, inst.bank);
+            break;
+          case Op::Ref:
+            dev.ref(cursor);
+            break;
+          case Op::Nop:
+            break;
+          default:
+            FAIL() << "unexpected op in a flat test body";
+        }
+    }
+}
+
+/**
+ * The executor's chunk loop for a program that is one flat loop, with
+ * every chunk recorded afresh: after each phase break, two live
+ * warm-ups and a live recorded iteration, never a reuse.
+ */
+void
+runReRecording(Device &dev, const Program &p)
+{
+    const std::size_t end = p.insts().size() - 1;
+    ASSERT_EQ(p.insts()[0].op, Op::LoopBegin);
+    ASSERT_EQ(p.insts()[end].op, Op::LoopEnd);
+    const std::uint64_t n = p.insts()[0].count;
+    Time duration = 0;
+    for (std::size_t i = 1; i < end; ++i)
+        duration += p.insts()[i].gap;
+
+    Time cursor = dev.now() + units::fromNs(100);
+    auto body = [&] { issueBody(dev, p, 1, end, cursor); };
+    std::uint64_t it = 0;
+    int strikes = 0;
+    while (n - it >= Executor::kFastPathThreshold && strikes < 2) {
+        const Time chunk_start = cursor;
+        body();
+        body();
+        dev.beginLoopRecording();
+        body();
+        const Device::LoopRecord rec = dev.endLoopRecording();
+        it += 3;
+        if (!rec.quiescent) {
+            ++strikes;
+            continue;
+        }
+        const std::uint64_t replayed =
+            dev.replayLoopIterations(rec, n - it);
+        const Time skipped = static_cast<Time>(replayed) * duration;
+        dev.shiftLoopTimestamps(chunk_start, skipped);
+        cursor += skipped;
+        it += replayed;
+        if (it >= n)
+            break;
+        body();
+        ++it;
+        strikes =
+            replayed >= Executor::kFastPathThreshold ? 0 : strikes + 1;
+    }
+    for (; it < n; ++it)
+        body();
+    dev.flush();
+}
+
+/** Every accumulator, row view, command counter and the clock. */
+struct DeviceState
+{
+    std::vector<std::array<float, 3>> damage;
+    std::vector<RowData> views;
+    DeviceCounters counters;
+    Time now = 0;
+    std::size_t samplerFill = 0;
+};
+
+DeviceState
+stateOf(const Device &dev)
+{
+    DeviceState s;
+    for (RowId r = 0; r < dev.rowsPerBank(); ++r) {
+        for (const WeakCell &cell : dev.weakCells(0, r))
+            s.damage.push_back(cell.damage);
+        s.views.push_back(dev.readRowDirect(0, r));
+    }
+    s.counters = dev.counters();
+    s.now = dev.now();
+    s.samplerFill = dev.trrSamplerFill(0);
+    return s;
+}
+
+void
+expectIdentical(const DeviceState &a, const DeviceState &b)
+{
+    ASSERT_EQ(a.damage.size(), b.damage.size());
+    for (std::size_t i = 0; i < a.damage.size(); ++i)
+        for (int c = 0; c < 3; ++c)
+            EXPECT_EQ(a.damage[i][c], b.damage[i][c])
+                << "cell " << i << " class " << c;
+    ASSERT_EQ(a.views.size(), b.views.size());
+    for (std::size_t r = 0; r < a.views.size(); ++r)
+        EXPECT_TRUE(a.views[r] == b.views[r]) << "row " << r;
+    EXPECT_EQ(a.counters.acts, b.counters.acts);
+    EXPECT_EQ(a.counters.pres, b.counters.pres);
+    EXPECT_EQ(a.counters.refs, b.counters.refs);
+    EXPECT_EQ(a.counters.comraCopies, b.counters.comraCopies);
+    EXPECT_EQ(a.counters.simraOps, b.counters.simraOps);
+    EXPECT_EQ(a.now, b.now);
+    EXPECT_EQ(a.samplerFill, b.samplerFill);
+}
+
+/**
+ * Side state and close times are not observable directly: one-sided
+ * closes next to the victim deposit differently after a left, right or
+ * no prior hit, and the first one -- reopening the row the loop closed
+ * last, right after the device clock -- after a different off-time.
+ */
+void
+probeCloses(Device &dev, std::initializer_list<RowId> rows)
+{
+    Time t = dev.now();
+    for (RowId r : rows) {
+        dev.act(t += units::fromNs(15), 0, r);
+        dev.pre(t += units::fromNs(36), 0);
+    }
+    dev.flush();
+}
+
+void
+probeSideState(Device &dev, RowId victim)
+{
+    probeCloses(dev, {victim + 1, victim - 1, victim - 2, victim + 2});
+}
+
+/** A one-component, REF-synchronized candidate: a fuzzer body shape. */
+fuzz::Candidate
+refSynced(fuzz::Tech tech)
+{
+    fuzz::Candidate c;
+    c.trefis = 2;
+    c.slotsPerTrefi = 8;
+    c.refSync = true;
+    fuzz::Component k;
+    k.tech = tech;
+    k.phase = 0;
+    k.stride = 1;
+    if (tech == fuzz::Tech::Simra)
+        k.simraN = 4;
+    c.comps.push_back(k);
+    return c;
+}
+
+/**
+ * Run candidate `c` through the executor, which reuses its record
+ * after every phase break it can, and through runReRecording on a twin
+ * device.  That must leave the two exactly -- EXPECT_EQ, not near --
+ * alike.  Returns the executor's counters.
+ */
+ExecStats
+expectReuseMatchesReRecording(const fuzz::Candidate &c,
+                              std::uint64_t periods)
+{
+    const DeviceConfig cfg = campaignConfig(3);
+    const RowId victim = fuzz::campaignVictim(cfg.rowsPerSubarray);
+    const fuzz::BuiltPattern built =
+        fuzz::buildPattern(c, 0, victim, periods, cfg);
+    const RowData aggr(cfg.cols, DataPattern::P55);
+    const RowData vict(cfg.cols, negate(DataPattern::P55));
+    auto prepare = [&](Device &dev) {
+        for (RowId a : built.aggressors)
+            dev.writeRowDirect(0, a, aggr);
+        dev.writeRowDirect(0, victim, vict);
+        // Bare REFs put the refresh pointer just below the loop's rows
+        // (row r's slot is 64r + 63), so the first breaks come before
+        // any cell has flipped: those reuse on side state alone.
+        Time t = dev.now();
+        for (int i = 0; i < 1800; ++i)
+            dev.ref(t += units::fromNs(7800));
+    };
+
+    TestBench bench(cfg);
+    prepare(bench.device());
+    bench.run(built.program);
+    Device ref(cfg);
+    prepare(ref);
+    runReRecording(ref, built.program);
+    expectIdentical(stateOf(bench.device()), stateOf(ref));
+
+    probeSideState(bench.device(), victim);
+    probeSideState(ref, victim);
+    expectIdentical(stateOf(bench.device()), stateOf(ref));
+    return bench.executor().stats();
+}
+
+class LoopReuse : public ::testing::TestWithParam<fuzz::Tech>
+{};
+
+TEST_P(LoopReuse, MatchesReRecordingBitForBit)
+{
+    // 12000 periods of two REFs sweep the refresh pointer across the
+    // loop's rows about three times: dozens of phase breaks.
+    const ExecStats stats =
+        expectReuseMatchesReRecording(refSynced(GetParam()), 12000);
+    EXPECT_GT(stats.phaseBreaks, 10u);
+    EXPECT_GT(stats.recordReuses, stats.phaseBreaks / 2);
+}
+
+TEST(LoopReuseFuzz, MatchesReRecordingOnGeneratedCandidates)
+{
+    // The fuzzer's own REF-synchronized candidates: mixed techniques,
+    // phases, strides and timings, several components each.  1000
+    // periods move the refresh pointer across the loop's rows once, so
+    // no later refresh wipes what a reuse deposited.
+    std::uint64_t breaks = 0, reuses = 0;
+    int tried = 0;
+    for (std::uint64_t i = 0; tried < 24; ++i) {
+        const fuzz::Candidate c = fuzz::generateCandidate(11, i);
+        if (!c.refSync)
+            continue;
+        ++tried;
+        SCOPED_TRACE("candidate " + std::to_string(i));
+        const ExecStats stats = expectReuseMatchesReRecording(c, 1000);
+        breaks += stats.phaseBreaks;
+        reuses += stats.recordReuses;
+    }
+    EXPECT_GT(breaks, 50u);
+    EXPECT_GT(reuses, breaks / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FuzzBodies, LoopReuse,
+    ::testing::Values(fuzz::Tech::RowHammer, fuzz::Tech::Comra,
+                      fuzz::Tech::Simra),
+    [](const ::testing::TestParamInfo<fuzz::Tech> &info) {
+        return std::string(fuzz::techName(info.param));
+    });
+
+/**
+ * Drives one flat body -- ACT 32, PRE, REF -- an iteration at a time
+ * on a device whose every REF refreshes exactly one row (slot r
+ * refreshes row r), so the tests place each refresh by hand.  The
+ * body's tracked rows are 30..34.
+ */
+struct BodyDriver
+{
+    static constexpr RowId kAggr = 32;
+    static constexpr RowId kVictim = 33;
+
+    static DeviceConfig
+    config()
+    {
+        DeviceConfig cfg = campaignConfig(5);
+        cfg.timings.refsPerWindow = 128;
+        return cfg;
+    }
+
+    static Program
+    singleAggressorBody()
+    {
+        const hammer::PatternTimings t;
+        Program body;
+        body.act(0, kAggr, t.base.tRP)
+            .pre(0, t.aggOn())
+            .ref(t.base.tRP)
+            .nop(t.base.tRFC);
+        return body;
+    }
+
+    explicit BodyDriver(Program b = singleAggressorBody())
+        : dev(config()), body(std::move(b))
+    {
+        const DeviceConfig &cfg = dev.config();
+        for (RowId r = 30; r <= 34; ++r)
+            dev.writeRowDirect(
+                0, r,
+                RowData(cfg.cols, r == kAggr
+                                      ? DataPattern::P55
+                                      : negate(DataPattern::P55)));
+    }
+
+    Time
+    duration() const
+    {
+        Time d = 0;
+        for (const Inst &inst : body.insts())
+            d += inst.gap;
+        return d;
+    }
+
+    /** `k` live iterations; `from` is the last one's start. */
+    void
+    iterate(int k = 1)
+    {
+        for (int i = 0; i < k; ++i) {
+            from = cursor;
+            issueBody(dev, body, 0, body.insts().size(), cursor);
+        }
+    }
+
+    Device::LoopRecord
+    record()
+    {
+        dev.beginLoopRecording(true);
+        iterate();
+        return dev.endLoopRecording();
+    }
+
+    bool
+    reuse(const Device::LoopRecord &rec, std::uint64_t k)
+    {
+        const Time skipped = static_cast<Time>(k) * duration();
+        if (!dev.reuseLoopRecord(rec, k, from, skipped))
+            return false;
+        cursor += skipped;
+        return true;
+    }
+
+    /** Bare REFs, with no close pending, until `count` are issued. */
+    void
+    refs(int count)
+    {
+        for (int i = 0; i < count; ++i)
+            dev.ref(cursor += units::fromNs(7800));
+    }
+
+    /** Hammer `row` alone, `n` times, through the executor. */
+    void
+    hammer(RowId row, std::uint64_t n)
+    {
+        const hammer::PatternTimings t;
+        Program p;
+        p.loopBegin(n).act(0, row, t.base.tRP).pre(0, t.aggOn()).loopEnd();
+        Executor ex(dev);
+        cursor = ex.run(p).endTime;
+    }
+
+    bool
+    anyFlipped(RowId row) const
+    {
+        for (const WeakCell &cell : dev.weakCells(0, row))
+            if (cell.flipped())
+                return true;
+        return false;
+    }
+
+    Device dev;
+    Program body;
+    Time cursor = units::fromNs(100);
+    Time from = 0;
+};
+
+TEST(LoopReuseFallback, AcceptedOnceSideStateIsBackAndMatchesLiveRun)
+{
+    BodyDriver live, reused;
+    for (BodyDriver *d : {&live, &reused}) {
+        d->iterate(2);
+        const Device::LoopRecord rec = d->record();
+        ASSERT_TRUE(rec.steady);
+        // A phase break's refresh of the tracked rows zeroes their side
+        // state without touching data (nothing has flipped yet).
+        d->refs(35 - 3);
+        if (d == &reused) {
+            EXPECT_FALSE(d->reuse(rec, 3)) << "side state differs";
+        }
+        // One live warm-up (its REF hits row 35) restores it.
+        d->iterate();
+        if (d == &reused) {
+            EXPECT_TRUE(d->reuse(rec, 2));
+        } else {
+            d->iterate(2);
+        }
+    }
+    expectIdentical(stateOf(reused.dev), stateOf(live.dev));
+    // Reopening the aggressor right away couples by its off-time.
+    for (BodyDriver *d : {&live, &reused})
+        probeCloses(d->dev, {BodyDriver::kAggr});
+    expectIdentical(stateOf(reused.dev), stateOf(live.dev));
+}
+
+TEST(LoopReuseFallback, RefusedWhenBreakMaterializedAFlip)
+{
+    BodyDriver d;
+    d.iterate(2);
+    const Device::LoopRecord rec = d.record();
+    ASSERT_TRUE(rec.steady);
+
+    // Hammer the body's aggressor alone (same side state) until the
+    // victim flips, then refresh rows 3..35: the refresh materializes
+    // the flip into the victim's data.
+    d.hammer(BodyDriver::kAggr, 2'000'000);
+    ASSERT_TRUE(d.anyFlipped(BodyDriver::kVictim));
+    const RowData before = d.dev.readRowDirect(0, BodyDriver::kVictim);
+    d.refs(36 - 3);
+    EXPECT_FALSE(d.anyFlipped(BodyDriver::kVictim));
+    EXPECT_TRUE(d.dev.readRowDirect(0, BodyDriver::kVictim) == before);
+    d.iterate();  // side state back; the data stays changed
+
+    EXPECT_FALSE(d.reuse(rec, 2));
+    EXPECT_FALSE(d.reuse(rec, 1));
+}
+
+TEST(LoopReuseFallback, RefusedWhenRecordIsNotSteady)
+{
+    BodyDriver d;
+    // Recorded straight after the host writes: the victims' side state
+    // goes from none to one-sided during the iteration.
+    const Device::LoopRecord rec = d.record();
+    EXPECT_TRUE(rec.quiescent);
+    EXPECT_FALSE(rec.steady);
+    d.iterate();
+    EXPECT_FALSE(d.reuse(rec, 1));
+}
+
+TEST(LoopReuseFallback, RefusedWhenAReuseRefHitsATrackedRow)
+{
+    BodyDriver d;
+    d.iterate(2);
+    const Device::LoopRecord rec = d.record();
+    ASSERT_TRUE(rec.steady);
+    d.refs(27 - 3);  // the next REF refreshes row 27
+    // REFs 27..30 would refresh tracked row 30; 27..29 miss them all.
+    EXPECT_FALSE(d.reuse(rec, 4));
+    EXPECT_TRUE(d.reuse(rec, 3));
+}
+
+TEST(LoopReuseFallback, NotSteadyWhenARestoreMaterializedAFlip)
+{
+    // Row 32 opens normally (its restore materializes any flip), then
+    // a CoMRA copy 31 -> 32 rewrites its data.
+    const hammer::PatternTimings t;
+    Program body;
+    body.act(0, 32, t.base.tRP)
+        .pre(0, t.aggOn())
+        .act(0, 31, t.base.tRP)
+        .pre(0, t.base.tRAS)
+        .act(0, 32, units::fromNs(7.5))
+        .pre(0, t.base.tRAS)
+        .ref(t.base.tRP)
+        .nop(t.base.tRFC);
+    BodyDriver d(body);
+    d.dev.writeRowDirect(0, 31, RowData(64, DataPattern::P55));
+    d.iterate(2);
+
+    // Hammering row 31 alone keeps every tracked row's side state and
+    // flips a cell of row 32.
+    d.hammer(31, 2'000'000);
+    ASSERT_TRUE(d.anyFlipped(32));
+
+    // The recorded iteration materializes that flip and then copies
+    // the data back: it starts and ends in the same state, but its
+    // deposits between the two saw the flipped bit.  A later
+    // iteration without the flip would deposit differently.
+    const Device::LoopRecord rec = d.record();
+    EXPECT_TRUE(rec.quiescent);
+    EXPECT_FALSE(d.anyFlipped(32));
+    EXPECT_TRUE(d.dev.readRowDirect(0, 32) ==
+                RowData(64, DataPattern::P55));
+    EXPECT_FALSE(rec.steady);
+}
+
+TEST(LoopReuseFallback, RefusedWhenAResetWouldMaterializeAFlip)
+{
+    BodyDriver d;
+    // One close of row 33 sets the aggressor's side state the way the
+    // hammering below keeps it.
+    Time t = d.cursor;
+    d.dev.act(t += units::fromNs(15), 0, 33);
+    d.dev.pre(t += units::fromNs(36), 0);
+    d.cursor = t;
+    d.iterate(2);
+    const Device::LoopRecord rec = d.record();
+    ASSERT_TRUE(rec.steady);
+
+    // Hammering row 33 flips a cell of the aggressor row 32 without
+    // changing any tracked row's data or side state; the body's next
+    // ACT 32 would restore the row and materialize that flip.
+    d.hammer(33, 2'000'000);
+    ASSERT_TRUE(d.anyFlipped(BodyDriver::kAggr));
+    EXPECT_FALSE(d.reuse(rec, 1));
 }
 
 } // namespace

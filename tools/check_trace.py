@@ -37,6 +37,7 @@ SCHEMA = {
     "plan_compile": {"hash": int, "insts": int, "loops": int},
     "plan_cache_hit": {"hash": int},
     "fastpath_record": {"loop": int, "it": int, "quiescent": bool},
+    "fastpath_reuse": {"loop": int, "it": int, "live_warmups": int},
     "fastpath_replay": {"loop": int, "replayed": int, "remaining": int},
     "phase_break": {"loop": int, "it": int},
     "naive_fallback": {"loop": int, "trip": int, "reason": str},
