@@ -6,7 +6,6 @@
 
 #include "exec/pool.h"
 #include "hammer/enumerate.h"
-#include "lint/absint.h"
 #include "lint/effects.h"
 #include "lint/linter.h"
 #include "obs/trace.h"
@@ -334,26 +333,21 @@ runTrrExperiment(ModuleTester &tester, TrrTechnique tech,
     // when the geometry parameters change; refuse to run a program the
     // device would fatal on.  Timing warnings (the model's REF issues
     // faster than tRFC) are expected and not reported here.
-    lint::requireClean(program, dev.config(), "runTrrExperiment");
-
-    // Static reachability: a TRR configuration whose hammer budget
-    // cannot cross the flip threshold even ignoring TRR's victim
-    // refreshes wastes the whole (slow, REF-dense) run.
-    {
-        const lint::ProgramEffects fx =
-            lint::summarizeEffects(program, dev.config());
-        const lint::EffectReport rep =
-            lint::predictEffects(fx, dev.config());
-        if (!rep.anyLikely &&
-            rep.hottestCloses >= lint::kHammerIntentCloses) {
-            warn("TRR experiment is statically unreachable on %s: "
-                 "best-case predicted damage is %.3g of the flip "
-                 "threshold before TRR even intervenes",
-                 dev.config().profile.moduleId.c_str(),
-                 rep.victims.empty()
-                     ? 0.0
-                     : rep.victims.front().optimisticDamage);
-        }
+    //
+    // The same lint pass yields the static reachability report: a TRR
+    // configuration whose hammer budget cannot cross the flip
+    // threshold even ignoring TRR's victim refreshes wastes the whole
+    // (slow, REF-dense) run.
+    lint::EffectReport rep;
+    lint::requireClean(program, dev.config(), "runTrrExperiment", {},
+                       &rep);
+    if (!rep.anyLikely && rep.hottestCloses >= lint::kHammerIntentCloses) {
+        warn("TRR experiment is statically unreachable on %s: "
+             "best-case predicted damage is %.3g of the flip "
+             "threshold before TRR even intervenes",
+             dev.config().profile.moduleId.c_str(),
+             rep.victims.empty() ? 0.0
+                                 : rep.victims.front().optimisticDamage);
     }
 
     tester.bench().run(program);

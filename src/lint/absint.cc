@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <set>
 #include <vector>
 
+#include "bender/plan.h"
 #include "dram/device.h"
 #include "dram/mapping.h"
-#include "dram/simra_decoder.h"
+#include "lint/walk.h"
+#include "pud/semantics.h"
 
 namespace pud::lint {
 
@@ -17,52 +18,18 @@ namespace {
 using bender::Inst;
 using bender::Op;
 using bender::Program;
+using bender::satAdd;
+using bender::satMul;
 using dram::BankId;
 using dram::OpenKind;
 using dram::RowId;
 using dram::TechClass;
 
-constexpr Time kMaxTime = std::numeric_limits<Time>::max();
-constexpr std::uint64_t kMaxU64 =
-    std::numeric_limits<std::uint64_t>::max();
-
-Time
-satAddT(Time a, Time b)
-{
-    if (b > 0 && a > kMaxTime - b)
-        return kMaxTime;
-    return a + b;
-}
-
-Time
-satMulT(Time a, std::uint64_t n)
-{
-    if (a <= 0 || n == 0)
-        return 0;
-    if (static_cast<std::uint64_t>(a) > static_cast<std::uint64_t>(
-                                            kMaxTime) / n)
-        return kMaxTime;
-    return a * static_cast<Time>(n);
-}
-
-std::uint64_t
-satAddU(std::uint64_t a, std::uint64_t b)
-{
-    return a > kMaxU64 - b ? kMaxU64 : a + b;
-}
-
-std::uint64_t
-satMulU(std::uint64_t a, std::uint64_t n)
-{
-    if (a == 0 || n == 0)
-        return 0;
-    return a > kMaxU64 / n ? kMaxU64 : a * n;
-}
-
 /**
  * The abstract walk: a per-bank open/pending machine mirroring
- * Device::act/pre classification, with loop bodies walked at most
- * twice and the remaining iterations replayed arithmetically.
+ * Device::act/pre (reopens classified by pud::semantics), with loop
+ * bodies walked at most twice and the remaining iterations replayed
+ * arithmetically.
  */
 class AbsWalker
 {
@@ -72,7 +39,7 @@ class AbsWalker
         : program_(program),
           cfg_(cfg),
           mapping_(cfg.profile.mapping),
-          decoder_(cfg.rowsPerSubarray),
+          geom_(semantics::geometryOf(cfg)),
           out_(out),
           trace_(trace),
           banks_(cfg.banks)
@@ -91,10 +58,54 @@ class AbsWalker
     void
     run()
     {
-        walkRange(0, program_.insts().size());
+        walkProgram(program_, *this);
         finish();
         out_.duration = cursor_;
         out_.lastRefAt = lastRefAt_;
+    }
+
+    // ---- walk hooks (lint/walk.h) -----------------------------------------
+
+    /**
+     * A warm-up pass, a steady-state pass that observes the back-edge
+     * gaps, and the remaining (count - 2) iterations in closed form.
+     */
+    template <typename Body>
+    void
+    loop(std::size_t, std::size_t, std::uint64_t count, const Body &body)
+    {
+        ++out_.steps;
+        if (count == 0)
+            return;
+        body();  // warm-up pass
+        if (count < 2)
+            return;
+        const Snapshot snap{out_.totalActs, out_.totalRefs, out_.rows};
+        const Time loop_start = cursor_;
+        std::size_t refs_mark = 0;
+        std::vector<std::size_t> push_marks;
+        if (trace_ != nullptr) {
+            refs_mark = trace_->refs.size();
+            push_marks.reserve(pushLogs_.size());
+            for (const auto &log : pushLogs_)
+                push_marks.push_back(log.size());
+        }
+        body();  // steady-state pass
+        if (count > 2) {
+            if (trace_ != nullptr)
+                replaySamplerTail(refs_mark, push_marks, count - 2);
+            replayTail(snap, loop_start, count - 2);
+        }
+    }
+
+    /** The tail is analyzed once: counts become a lower bound. */
+    template <typename Body>
+    void
+    unbalanced(std::size_t, const Body &rest)
+    {
+        ++out_.steps;
+        out_.exact = false;
+        rest();
     }
 
   private:
@@ -130,72 +141,6 @@ class AbsWalker
         return out_.rows[rowKey(b, phys)];
     }
 
-    std::size_t
-    matchEnd(std::size_t begin) const
-    {
-        const auto &insts = program_.insts();
-        int depth = 0;
-        for (std::size_t i = begin; i < insts.size(); ++i) {
-            if (insts[i].op == Op::LoopBegin)
-                ++depth;
-            else if (insts[i].op == Op::LoopEnd && --depth == 0)
-                return i;
-        }
-        return npos;
-    }
-
-    void
-    walkRange(std::size_t begin, std::size_t end)
-    {
-        const auto &insts = program_.insts();
-        std::size_t i = begin;
-        while (i < end) {
-            const Inst &inst = insts[i];
-            ++out_.steps;
-            if (inst.op == Op::LoopBegin) {
-                std::size_t close = matchEnd(i);
-                if (close == npos || close > end) {
-                    // Unbalanced (an error elsewhere): analyze the
-                    // tail once; counts become a lower bound.
-                    out_.exact = false;
-                    walkRange(i + 1, end);
-                    return;
-                }
-                if (inst.count == 0) {
-                    i = close + 1;
-                    continue;
-                }
-                walkRange(i + 1, close);  // warm-up pass
-                if (inst.count >= 2) {
-                    const Snapshot snap{out_.totalActs, out_.totalRefs,
-                                        out_.rows};
-                    const Time loop_start = cursor_;
-                    std::size_t refs_mark = 0;
-                    std::vector<std::size_t> push_marks;
-                    if (trace_ != nullptr) {
-                        refs_mark = trace_->refs.size();
-                        push_marks.reserve(pushLogs_.size());
-                        for (const auto &log : pushLogs_)
-                            push_marks.push_back(log.size());
-                    }
-                    walkRange(i + 1, close);  // steady-state pass
-                    if (inst.count > 2) {
-                        if (trace_ != nullptr)
-                            replaySamplerTail(refs_mark, push_marks,
-                                              inst.count - 2);
-                        replayTail(snap, loop_start, inst.count - 2);
-                    }
-                }
-                i = close + 1;
-            } else if (inst.op == Op::LoopEnd) {
-                ++i;
-            } else {
-                step(i);
-                ++i;
-            }
-        }
-    }
-
     /**
      * Account for the (reps) iterations beyond the two walked passes:
      * additive fields grow by (reps) times the steady-state delta,
@@ -209,23 +154,23 @@ class AbsWalker
         const std::uint64_t body_refs =
             out_.totalRefs - snap.totalRefs;
 
-        out_.totalActs = satAddU(
+        out_.totalActs = satAdd(
             out_.totalActs,
-            satMulU(out_.totalActs - snap.totalActs, reps));
-        out_.totalRefs = satAddU(
-            out_.totalRefs, satMulU(body_refs, reps));
+            satMul(out_.totalActs - snap.totalActs, reps));
+        out_.totalRefs =
+            satAdd(out_.totalRefs, satMul(body_refs, reps));
 
         static const RowActivity kZero{};
         for (auto &[key, cur] : out_.rows) {
             const auto it = snap.rows.find(key);
             const RowActivity &old =
                 it == snap.rows.end() ? kZero : it->second;
-            cur.acts = satAddU(cur.acts,
-                               satMulU(cur.acts - old.acts, reps));
+            cur.acts = satAdd(cur.acts,
+                              satMul(cur.acts - old.acts, reps));
             for (int c = 0; c < 3; ++c) {
-                cur.closes[c] = satAddU(
+                cur.closes[c] = satAdd(
                     cur.closes[c],
-                    satMulU(cur.closes[c] - old.closes[c], reps));
+                    satMul(cur.closes[c] - old.closes[c], reps));
                 cur.onTime[c] = satAddT(
                     cur.onTime[c],
                     satMulT(cur.onTime[c] - old.onTime[c], reps));
@@ -236,11 +181,11 @@ class AbsWalker
                 // per-epoch maxima are fixed points either way (they
                 // fold at the next REF or at finish()).
                 if (body_refs == 0) {
-                    cur.epochCloses[c] = satAddU(
+                    cur.epochCloses[c] = satAdd(
                         cur.epochCloses[c],
-                        satMulU(cur.epochCloses[c] -
-                                    old.epochCloses[c],
-                                reps));
+                        satMul(cur.epochCloses[c] -
+                                   old.epochCloses[c],
+                               reps));
                 }
             }
             cur.comraDelaySum = satAddT(
@@ -309,9 +254,9 @@ class AbsWalker
 
         for (std::size_t b = 0; b < taint_.size(); ++b) {
             taint_[b].insert(body_rows[b].begin(), body_rows[b].end());
-            trace_->pushes[b] = satAddU(
+            trace_->pushes[b] = satAdd(
                 trace_->pushes[b],
-                satMulU(pushLogs_[b].size() - push_marks[b], reps));
+                satMul(pushLogs_[b].size() - push_marks[b], reps));
         }
     }
 
@@ -350,7 +295,7 @@ class AbsWalker
         if (ring.size() > dram::Device::kTrrWindow)
             ring.pop_front();
         pushLogs_[b].push_back(phys);
-        trace_->pushes[b] = satAddU(trace_->pushes[b], 1);
+        trace_->pushes[b] = satAdd(trace_->pushes[b], 1);
     }
 
     void
@@ -359,8 +304,8 @@ class AbsWalker
         RowActivity &ra = rowOf(b, phys);
         if (ra.acts == 0)
             ra.firstActIndex = i;
-        ra.acts = satAddU(ra.acts, 1);
-        out_.totalActs = satAddU(out_.totalActs, 1);
+        ra.acts = satAdd(ra.acts, 1);
+        out_.totalActs = satAdd(out_.totalActs, 1);
         if (trace_ != nullptr)
             samplerPush(b, phys);
 
@@ -383,8 +328,8 @@ class AbsWalker
     {
         RowActivity &ra = rowOf(b, phys);
         const int c = static_cast<int>(cls);
-        ra.closes[c] = satAddU(ra.closes[c], 1);
-        ra.epochCloses[c] = satAddU(ra.epochCloses[c], 1);
+        ra.closes[c] = satAdd(ra.closes[c], 1);
+        ra.epochCloses[c] = satAdd(ra.epochCloses[c], 1);
         ra.onTime[c] = satAddT(ra.onTime[c], std::max<Time>(t_on, 0));
         ra.maxOnTime[c] =
             std::max(ra.maxOnTime[c], std::max<Time>(t_on, 0));
@@ -435,15 +380,9 @@ class AbsWalker
         bank.pendingValid = false;
         if (bank.pendingRecorded)
             return;
-        for (RowId r : bank.pendingRows) {
-            RowActivity &ra = rowOf(b, r);
-            ra.closes[0] = satAddU(ra.closes[0], 1);
-            ra.epochCloses[0] = satAddU(ra.epochCloses[0], 1);
-            ra.onTime[0] = satAddT(ra.onTime[0],
-                                   std::max<Time>(bank.pendingTOn, 0));
-            ra.maxOnTime[0] = std::max(
-                ra.maxOnTime[0], std::max<Time>(bank.pendingTOn, 0));
-        }
+        for (RowId r : bank.pendingRows)
+            recordClose(b, bank, TechClass::Conventional, r,
+                        bank.pendingTOn);
     }
 
     void
@@ -457,80 +396,56 @@ class AbsWalker
             return;  // ACT-while-open fatals at execution time
 
         if (bank.pendingValid) {
-            const dram::TimingParams &t = cfg_.timings;
             const Time gap = cursor_ - bank.pendingClosedAt;
-            const bool single = bank.pendingRows.size() == 1;
-            const bool same_sub =
-                single && bank.pendingRows.front() /
-                                  cfg_.rowsPerSubarray ==
-                              phys / cfg_.rowsPerSubarray;
-
-            // SiMRA: ACT-PRE-ACT with both gaps grossly violated.
-            if (single && same_sub &&
-                bank.pendingTOn <= t.simraMaxActToPre &&
-                gap <= t.simraMaxPreToAct) {
-                if (!cfg_.profile.supportsSimra) {
-                    // Chip ignores both commands; the first row stays
-                    // open with its original activation time.
-                    bank.open = true;
-                    bank.openRows = bank.pendingRows;
-                    bank.kind = bank.pendingKind;
-                    bank.openedAt = bank.pendingOpenedAt;
-                    bank.comraDelay = bank.pendingComraDelay;
-                    bank.pendingValid = false;
-                    return;
-                }
-                auto group = decoder_.activatedSet(
-                    bank.pendingRows.front(), phys);
-                if (group.size() > 1) {
-                    // The blip is part of this op, not a real close.
-                    bank.pendingValid = false;
-                    bank.open = true;
-                    bank.openRows.assign(group.begin(), group.end());
-                    bank.kind = OpenKind::Simra;
-                    bank.openedAt = cursor_;
-                    bank.simraActToPre = bank.pendingTOn;
-                    bank.simraPreToAct = gap;
-                    recordAct(inst.bank, phys, i);
-                    return;
-                }
-                // Degenerate pair: fall through to normal handling.
-            }
-
-            // CoMRA: full restore, then reopen below tRP.
-            if (single && same_sub && bank.pendingRows.front() != phys &&
-                bank.pendingTOn >= t.tRAS - units::ns &&
-                gap <= t.comraMaxPreToAct) {
+            const semantics::ReopenClass cls =
+                bank.pendingRows.size() == 1
+                    ? semantics::classifyReopen(
+                          cfg_.timings, geom_, bank.pendingRows.front(),
+                          phys, bank.pendingTOn, gap)
+                    : semantics::ReopenClass::Conventional;
+            switch (cls) {
+              case semantics::ReopenClass::SimraIgnored:
+                // Chip ignores both commands; the first row stays open
+                // with its original activation time.
+                bank.open = true;
+                bank.openRows = bank.pendingRows;
+                bank.kind = bank.pendingKind;
+                bank.openedAt = bank.pendingOpenedAt;
+                bank.comraDelay = bank.pendingComraDelay;
+                bank.pendingValid = false;
+                return;
+              case semantics::ReopenClass::SimraGroup:
+                // The blip is part of this op, not a real close.
+                bank.pendingValid = false;
+                bank.open = true;
+                bank.openRows = semantics::simraActivatedSet(
+                    geom_, bank.pendingRows.front(), phys);
+                bank.kind = OpenKind::Simra;
+                bank.openedAt = cursor_;
+                bank.simraActToPre = bank.pendingTOn;
+                bank.simraPreToAct = gap;
+                recordAct(inst.bank, phys, i);
+                return;
+              case semantics::ReopenClass::ComraCopy:
+                bank.comraDelay = gap;
                 if (!bank.pendingRecorded) {
                     // Retro-tag the source close as the copy cycle's
                     // first half.
-                    RowActivity &src =
-                        rowOf(inst.bank, bank.pendingRows.front());
-                    src.closes[1] = satAddU(src.closes[1], 1);
-                    src.epochCloses[1] =
-                        satAddU(src.epochCloses[1], 1);
-                    src.onTime[1] = satAddT(
-                        src.onTime[1],
-                        std::max<Time>(bank.pendingTOn, 0));
-                    src.maxOnTime[1] = std::max(
-                        src.maxOnTime[1],
-                        std::max<Time>(bank.pendingTOn, 0));
-                    src.comraDelaySum = satAddT(src.comraDelaySum, gap);
-                    if (src.minComraDelay < 0 ||
-                        gap < src.minComraDelay)
-                        src.minComraDelay = gap;
+                    recordClose(inst.bank, bank, TechClass::Comra,
+                                bank.pendingRows.front(),
+                                bank.pendingTOn);
                 }
                 bank.pendingValid = false;
                 bank.open = true;
                 bank.openRows.assign(1, phys);
                 bank.kind = OpenKind::ComraDst;
                 bank.openedAt = cursor_;
-                bank.comraDelay = gap;
                 recordAct(inst.bank, phys, i);
                 return;
+              case semantics::ReopenClass::Conventional:
+                dropPending(inst.bank, bank);
+                break;
             }
-
-            dropPending(inst.bank, bank);
         }
 
         bank.open = true;
@@ -564,9 +479,11 @@ class AbsWalker
         bank.open = false;
     }
 
+  public:
     void
     step(std::size_t i)
     {
+        ++out_.steps;
         const Inst &inst = program_.insts()[i];
         cursor_ = satAddT(cursor_, std::max<Time>(inst.gap, 0));
         switch (inst.op) {
@@ -582,7 +499,7 @@ class AbsWalker
                 pre(b);
             break;
           case Op::Ref: {
-            out_.totalRefs = satAddU(out_.totalRefs, 1);
+            out_.totalRefs = satAdd(out_.totalRefs, 1);
             if (lastRefAt_ >= 0) {
                 const Time gap = cursor_ - lastRefAt_;
                 if (gap > out_.maxRefGap) {
@@ -611,6 +528,7 @@ class AbsWalker
         }
     }
 
+  private:
     /** Close the current refresh epoch on every row. */
     void
     foldEpochs()
@@ -663,12 +581,10 @@ class AbsWalker
         foldEpochs();
     }
 
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
     const Program &program_;
     const dram::DeviceConfig &cfg_;
     dram::RowMapping mapping_;
-    dram::SimraDecoder decoder_;
+    semantics::Geometry geom_;
     ProgramEffects &out_;
     SamplerTrace *trace_;
     std::vector<BankSt> banks_;

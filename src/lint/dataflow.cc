@@ -1,15 +1,13 @@
 #include "lint/dataflow.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
-#include <limits>
 #include <set>
 #include <string>
 #include <utility>
 
 #include "dram/mapping.h"
 #include "lint/effects.h"
+#include "lint/walk.h"
 #include "pud/semantics.h"
 
 namespace pud::lint {
@@ -36,38 +34,6 @@ using bender::Op;
 using bender::Program;
 using dram::BankId;
 using dram::RowId;
-
-constexpr Time kMaxTime = std::numeric_limits<Time>::max();
-
-Time
-satAddT(Time a, Time b)
-{
-    if (b > 0 && a > kMaxTime - b)
-        return kMaxTime;
-    return a + b;
-}
-
-Time
-satMulT(Time a, std::uint64_t n)
-{
-    if (a <= 0 || n == 0)
-        return 0;
-    if (static_cast<std::uint64_t>(a) >
-        static_cast<std::uint64_t>(kMaxTime) / n)
-        return kMaxTime;
-    return a * static_cast<Time>(n);
-}
-
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    return buf;
-}
 
 bool
 stateEq(const RowState &a, const RowState &b)
@@ -105,14 +71,69 @@ class DfWalker
           geom_(semantics::geometryOf(cfg)),
           fx_(fx),
           out_(out),
+          diags_(out.diags),
           banks_(cfg.banks)
     {}
 
     void
     run()
     {
-        walkRange(0, program_.insts().size());
+        walkProgram(program_, *this);
         finish();
+    }
+
+    // ---- walk hooks (lint/walk.h) -----------------------------------------
+
+    /**
+     * Walk the body until the row states and bank machines repeat
+     * (at most kLoopPassCap passes; exact for smaller trip counts),
+     * then skip the remaining iterations arithmetically.  Rows still
+     * changing at the cap degrade to Unknown.
+     */
+    template <typename Body>
+    void
+    loop(std::size_t begin, std::size_t, std::uint64_t count,
+         const Body &body)
+    {
+        if (count == 0)
+            return;
+        body();  // warm-up pass
+        std::uint64_t executed = 1;
+        Snapshot before;
+        Time loop_start = 0;
+        while (executed < count && executed < kLoopPassCap) {
+            before = capture();
+            loop_start = cursor_;
+            body();
+            ++executed;
+            if (sameState(before)) {
+                skipIterations(loop_start, count - executed);
+                return;
+            }
+        }
+        if (executed >= count)
+            return;  // exact: every iteration was walked
+
+        // Cap hit without a fixpoint: anything still in flux after
+        // (count - executed) more iterations is beyond this analysis.
+        out_.exact = false;
+        for (const auto &[key, st] : before.rows) {
+            auto it = out_.rows.find(key);
+            if (it == out_.rows.end() || !stateEq(it->second, st))
+                degrade(key, begin);
+        }
+        for (const auto &[key, st] : out_.rows)
+            if (before.rows.find(key) == before.rows.end())
+                degrade(key, begin);
+        skipIterations(loop_start, count - executed);
+    }
+
+    template <typename Body>
+    void
+    unbalanced(std::size_t, const Body &rest)
+    {
+        out_.exact = false;
+        rest();
     }
 
   private:
@@ -185,96 +206,6 @@ class DfWalker
         return out_.rows[rowKey(b, phys)];
     }
 
-    template <typename... Args>
-    void
-    add(Code code, std::size_t inst, const char *fmt, Args... args)
-    {
-        if (!seen_.insert({static_cast<int>(code), inst}).second)
-            return;
-        out_.diags.push_back({code, severityOf(code), inst,
-                              format(fmt, args...)});
-    }
-
-    std::size_t
-    matchEnd(std::size_t begin) const
-    {
-        const auto &insts = program_.insts();
-        int depth = 0;
-        for (std::size_t i = begin; i < insts.size(); ++i) {
-            if (insts[i].op == Op::LoopBegin)
-                ++depth;
-            else if (insts[i].op == Op::LoopEnd && --depth == 0)
-                return i;
-        }
-        return npos;
-    }
-
-    void
-    walkRange(std::size_t begin, std::size_t end)
-    {
-        const auto &insts = program_.insts();
-        std::size_t i = begin;
-        while (i < end) {
-            const Inst &inst = insts[i];
-            if (inst.op == Op::LoopBegin) {
-                std::size_t close = matchEnd(i);
-                if (close == npos || close > end) {
-                    out_.exact = false;
-                    walkRange(i + 1, end);
-                    return;
-                }
-                if (inst.count > 0)
-                    walkLoop(i, close, inst.count);
-                i = close + 1;
-            } else if (inst.op == Op::LoopEnd) {
-                ++i;
-            } else {
-                step(i);
-                ++i;
-            }
-        }
-    }
-
-    /**
-     * Walk the body until the row states and bank machines repeat
-     * (at most kLoopPassCap passes; exact for smaller trip counts),
-     * then skip the remaining iterations arithmetically.  Rows still
-     * changing at the cap degrade to Unknown.
-     */
-    void
-    walkLoop(std::size_t begin, std::size_t close, std::uint64_t count)
-    {
-        walkRange(begin + 1, close);  // warm-up pass
-        std::uint64_t executed = 1;
-        Snapshot before;
-        Time loop_start = 0;
-        while (executed < count && executed < kLoopPassCap) {
-            before = capture();
-            loop_start = cursor_;
-            walkRange(begin + 1, close);
-            ++executed;
-            if (sameState(before)) {
-                skipIterations(loop_start, count - executed);
-                return;
-            }
-        }
-        if (executed >= count)
-            return;  // exact: every iteration was walked
-
-        // Cap hit without a fixpoint: anything still in flux after
-        // (count - executed) more iterations is beyond this analysis.
-        out_.exact = false;
-        for (const auto &[key, st] : before.rows) {
-            auto it = out_.rows.find(key);
-            if (it == out_.rows.end() || !stateEq(it->second, st))
-                degrade(key, begin);
-        }
-        for (const auto &[key, st] : out_.rows)
-            if (before.rows.find(key) == before.rows.end())
-                degrade(key, begin);
-        skipIterations(loop_start, count - executed);
-    }
-
     void
     degrade(std::uint64_t key, std::size_t begin)
     {
@@ -324,7 +255,7 @@ class DfWalker
             if (ra == nullptr ||
                 ra->totalCloses() < kHammerIntentCloses)
                 continue;
-            add(Code::DfAggressorAsData, i,
+            diags_.add(Code::DfAggressorAsData, i,
                 "row %u's contents are consumed as data, but row %u "
                 "(distance %d) is closed %llu times by this program "
                 "(hammer-grade, >= %llu): the consumed value may "
@@ -347,7 +278,7 @@ class DfWalker
         if (old.consumed || (old.kind != RowStateKind::Written &&
                              old.kind != RowStateKind::CopyOf))
             return;
-        add(Code::DfDeadWrite, old.defIndex,
+        diags_.add(Code::DfDeadWrite, old.defIndex,
             "row %u's value staged here is overwritten at "
             "instruction %zu before anything reads it",
             phys, i);
@@ -442,7 +373,7 @@ class DfWalker
             crosses |= !geom_.contains(r) || geom_.subarrayOf(r) != sub;
         pudSubs_[b].insert(sub);
         if (crosses) {
-            add(Code::DfGroupCrossesSubarray, i,
+            diags_.add(Code::DfGroupCrossesSubarray, i,
                 "SiMRA activation group [%u, %u] spans a subarray or "
                 "bank boundary (subarrays are %u rows): wordline "
                 "drivers are per-subarray, so the charge state of "
@@ -477,7 +408,7 @@ class DfWalker
                            stateOf(b, o).srcKey == rowKey(b, r);
             if (covered) {
                 if (staged)
-                    add(Code::DfGroupOverlap, i,
+                    diags_.add(Code::DfGroupOverlap, i,
                         "SiMRA activation group [%u, %u] contains "
                         "operand row %u itself alongside copies of "
                         "it: the merge destroys the operand's "
@@ -503,7 +434,7 @@ class DfWalker
         }
 
         if (undef || uncovered_initial) {
-            add(Code::DfMajorityUninitInput, i,
+            diags_.add(Code::DfMajorityUninitInput, i,
                 "SiMRA merge over [%u, %u] mixes staged operand data "
                 "with %s rows: every bitline resolves against charge "
                 "the program never defined, so the whole block ends "
@@ -550,7 +481,7 @@ class DfWalker
         const bool tie = semantics::tieable(weights, n);
         const int id = internMerge(b, std::move(inputs), n, tie, i);
         if (tie) {
-            add(Code::DfMajorityTie, i,
+            diags_.add(Code::DfMajorityTie, i,
                 "replication weights of the SiMRA merge over [%u, %u] "
                 "admit a bitline tie (a subset of weights sums to "
                 "%d): tied bitlines float at half charge and resolve "
@@ -649,12 +580,12 @@ class DfWalker
         const RowId phys = bank.openRows.front();
         const RowState &st = stateOf(inst.bank, phys);
         if (!st.defined()) {
-            add(Code::DfReadUndefined, i,
+            diags_.add(Code::DfReadUndefined, i,
                 "RD returns row %u whose contents are %s: the "
                 "collected bits carry no program-defined value",
                 phys, name(st.kind));
         } else if (st.kind == RowStateKind::Initial) {
-            add(Code::DfReadBeforeWrite, i,
+            diags_.add(Code::DfReadBeforeWrite, i,
                 "RD returns row %u, which the program never wrote: "
                 "the result is whatever the host staged before "
                 "execution",
@@ -686,6 +617,7 @@ class DfWalker
         }
     }
 
+  public:
     void
     step(std::size_t i)
     {
@@ -720,6 +652,7 @@ class DfWalker
         }
     }
 
+  private:
     /**
      * End-of-program analysis.  Live-out values are *not* dead writes
      * (they are what the host DMAs back), but a staged row stranded on
@@ -747,7 +680,7 @@ class DfWalker
             if ((last_of_sub && it->second.count(sub + 1)) ||
                 (first_of_sub && sub > 0 &&
                  it->second.count(sub - 1))) {
-                add(Code::DfControlRowClobber, st.defIndex,
+                diags_.add(Code::DfControlRowClobber, st.defIndex,
                     "row %u is written but never consumed, and it "
                     "sits on the boundary of subarray %u while all "
                     "PuD activity runs in the adjacent subarray: "
@@ -758,18 +691,16 @@ class DfWalker
         }
     }
 
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
     const Program &program_;
     const dram::DeviceConfig &cfg_;
     dram::RowMapping mapping_;
     semantics::Geometry geom_;
     const ProgramEffects &fx_;
     DataflowResult &out_;
+    DiagSink diags_;
     std::vector<BankSt> banks_;
     std::map<BankId, std::set<dram::SubarrayId>> pudSubs_;
     std::map<std::string, int> mergeIds_;
-    std::set<std::pair<int, std::size_t>> seen_;
     Time cursor_ = 0;
 };
 

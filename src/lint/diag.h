@@ -24,7 +24,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/units.h"
@@ -135,12 +137,39 @@ struct Diag
     std::string message;
 };
 
+/** printf-style message formatting (messages are capped at 511 bytes). */
+std::string format(const char *fmt, ...);
+
+/**
+ * Appends findings to a list, keeping the first per (code,
+ * instruction): a pass that walks a loop body twice reports each site
+ * once.
+ */
+class DiagSink
+{
+  public:
+    explicit DiagSink(std::vector<Diag> &out) : out_(out) {}
+
+    template <typename... Args>
+    void
+    add(Code code, std::size_t inst, const char *fmt, Args... args)
+    {
+        if (seen_.insert({code, inst}).second)
+            out_.push_back({code, severityOf(code), inst,
+                            format(fmt, args...)});
+    }
+
+  private:
+    std::vector<Diag> &out_;
+    std::set<std::pair<Code, std::size_t>> seen_;
+};
+
 /** Everything one lint pass produces. */
 struct LintResult
 {
     std::vector<Diag> diags;
 
-    /** Exact program duration, loop trip counts included. */
+    /** Exact program duration, loop trip counts included (saturating). */
     Time duration = 0;
 
     /**

@@ -1,8 +1,6 @@
 #include "lint/effects.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
 
 #include "dram/cell.h"
@@ -15,17 +13,6 @@ namespace {
 using dram::BankId;
 using dram::RowId;
 using dram::TechClass;
-
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    return buf;
-}
 
 const char *
 techName(TechClass cls)

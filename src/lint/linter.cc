@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <limits>
 #include <map>
-#include <set>
 #include <utility>
 
 #include <iterator>
@@ -15,6 +13,7 @@
 #include "lint/absint.h"
 #include "lint/dataflow.h"
 #include "lint/effects.h"
+#include "lint/walk.h"
 #include "util/logging.h"
 
 namespace pud::lint {
@@ -147,12 +146,6 @@ severityOf(Code code)
     return Severity::Error;
 }
 
-namespace {
-
-using bender::Inst;
-using bender::Op;
-using bender::Program;
-
 std::string
 format(const char *fmt, ...)
 {
@@ -164,6 +157,12 @@ format(const char *fmt, ...)
     return buf;
 }
 
+namespace {
+
+using bender::Inst;
+using bender::Op;
+using bender::Program;
+
 /** The analyzer's walk state and diagnostic sink. */
 class Walker
 {
@@ -174,16 +173,42 @@ class Walker
           cfg_(cfg),
           mapping_(cfg.profile.mapping),
           out_(out),
+          diags_(out.diags),
           banks_(cfg.banks)
     {}
 
     void
     run()
     {
-        const auto &insts = program_.insts();
-        walkRange(0, insts.size());
+        walkProgram(program_, *this);
         finish();
-        out_.duration = exactDuration(0, insts.size());
+        out_.duration = span_;
+    }
+
+    // ---- walk hooks (lint/walk.h) -----------------------------------------
+
+    template <typename Body>
+    void
+    loop(std::size_t begin, std::size_t close, std::uint64_t count,
+         const Body &body)
+    {
+        checkLoop(begin, close, count);
+        // Two passes: the second observes back-edge gaps (e.g. the
+        // PRE->ACT spacing across iterations).  A zero-trip body is
+        // still checked once.
+        repeat(count, count >= 2 ? 2 : 1, body);
+    }
+
+    template <typename Body>
+    void
+    unbalanced(std::size_t begin, const Body &rest)
+    {
+        const std::uint64_t count = program_.insts()[begin].count;
+        diags_.add(Code::UnbalancedLoop, begin,
+                   "LoopBegin (count %llu) has no matching LoopEnd; the "
+                   "executor refuses to run unbalanced programs",
+                   static_cast<unsigned long long>(count));
+        repeat(count, 1, rest);  // the tail stands in for the body
     }
 
   private:
@@ -204,98 +229,21 @@ class Walker
         std::size_t pendingPreIndex = 0;
     };
 
-    template <typename... Args>
+    /**
+     * Walk a body `passes` times.  The real duration (span_) counts
+     * the first pass `count` times; later passes only re-observe it.
+     */
+    template <typename Body>
     void
-    add(Code code, std::size_t inst, const char *fmt, Args... args)
+    repeat(std::uint64_t count, int passes, const Body &body)
     {
-        if (!seen_.insert({static_cast<int>(code), inst}).second)
-            return;
-        out_.diags.push_back({code, severityOf(code), inst,
-                              format(fmt, args...)});
-    }
-
-    /** Find the LoopEnd matching the LoopBegin at `begin` (or npos). */
-    std::size_t
-    matchEnd(std::size_t begin) const
-    {
-        const auto &insts = program_.insts();
-        int depth = 0;
-        for (std::size_t i = begin; i < insts.size(); ++i) {
-            if (insts[i].op == Op::LoopBegin)
-                ++depth;
-            else if (insts[i].op == Op::LoopEnd && --depth == 0)
-                return i;
-        }
-        return npos;
-    }
-
-    /** Exact duration of [begin, end) with real trip counts. */
-    Time
-    exactDuration(std::size_t begin, std::size_t end) const
-    {
-        const auto &insts = program_.insts();
-        Time d = 0;
-        std::size_t i = begin;
-        while (i < end) {
-            const Inst &inst = insts[i];
-            if (inst.op == Op::LoopBegin) {
-                std::size_t close = matchEnd(i);
-                if (close == npos || close > end)
-                    close = end;  // unbalanced: treat the tail as body
-                const Time body = exactDuration(i + 1, close);
-                if (body > 0 && inst.count >
-                        static_cast<std::uint64_t>(
-                            std::numeric_limits<Time>::max() / body))
-                    return std::numeric_limits<Time>::max();
-                d += static_cast<Time>(inst.count) * body;
-                i = close + 1;
-            } else {
-                d += std::max<Time>(inst.gap, 0);
-                ++i;
-            }
-        }
-        return d;
-    }
-
-    void
-    walkRange(std::size_t begin, std::size_t end)
-    {
-        const auto &insts = program_.insts();
-        std::size_t i = begin;
-        while (i < end) {
-            const Inst &inst = insts[i];
-            if (inst.op == Op::LoopBegin) {
-                std::size_t close = matchEnd(i);
-                if (close == npos || close > end) {
-                    add(Code::UnbalancedLoop, i,
-                        "LoopBegin (count %llu) has no matching "
-                        "LoopEnd; the executor refuses to run "
-                        "unbalanced programs",
-                        static_cast<unsigned long long>(inst.count));
-                    close = end;  // analyze the tail as the body, once
-                    walkRange(i + 1, close);
-                    return;
-                }
-                checkLoop(i, close, inst.count);
-                // Two passes: the second observes back-edge gaps
-                // (e.g. the PRE->ACT spacing across iterations).
-                const int passes =
-                    inst.count == 0 ? 1
-                                    : static_cast<int>(
-                                          std::min<std::uint64_t>(
-                                              inst.count, 2));
-                for (int p = 0; p < passes; ++p)
-                    walkRange(i + 1, close);
-                i = close + 1;
-            } else if (inst.op == Op::LoopEnd) {
-                // Builder-made programs cannot produce a stray
-                // LoopEnd (Program::loopEnd fatals); be defensive.
-                ++i;
-            } else {
-                step(i);
-                ++i;
-            }
-        }
+        const Time outer = span_;
+        span_ = 0;
+        body();
+        const Time once = span_;
+        for (int p = 1; p < passes; ++p)
+            body();
+        span_ = satAddT(outer, satMulT(once, count));
     }
 
     void
@@ -303,11 +251,11 @@ class Walker
     {
         const auto &insts = program_.insts();
         if (close == begin + 1)
-            add(Code::EmptyLoop, begin,
+            diags_.add(Code::EmptyLoop, begin,
                 "loop body is empty; %llu iterations do nothing",
                 static_cast<unsigned long long>(count));
         if (count == 0)
-            add(Code::ZeroTripLoop, begin,
+            diags_.add(Code::ZeroTripLoop, begin,
                 "trip count is 0: the body never executes (forgot "
                 "Program::setLoopCount?)");
 
@@ -318,14 +266,14 @@ class Walker
         // (bender/plan.h) so lint verdicts cannot drift from runtime.
         switch (bender::classifyBody(insts, begin + 1, close)) {
           case bender::BodyClass::Simple:
-            add(Code::FastPathEligible, begin,
+            diags_.add(Code::FastPathEligible, begin,
                 "hot loop (%llu iterations) is fast-path eligible: "
                 "the executor replays one recorded iteration "
                 "arithmetically",
                 static_cast<unsigned long long>(count));
             break;
           case bender::BodyClass::Recorded:
-            add(Code::FastPathEligible, begin,
+            diags_.add(Code::FastPathEligible, begin,
                 "hot loop (%llu iterations) is fast-path eligible: "
                 "REF/TRR effects and nested loops replay by "
                 "closed-form per-iteration deltas from one recorded "
@@ -333,7 +281,7 @@ class Walker
                 static_cast<unsigned long long>(count));
             break;
           case bender::BodyClass::Naive:
-            add(Code::FastPathIneligible, begin,
+            diags_.add(Code::FastPathIneligible, begin,
                 "hot loop (%llu iterations) runs naively: body "
                 "contains RD (results are collected per iteration)",
                 static_cast<unsigned long long>(count));
@@ -349,7 +297,7 @@ class Walker
             return;
         bank.pendingValid = false;
         if (bank.pendingTOn < cfg_.timings.tRAS) {
-            add(Code::SuspiciousActToPre, bank.pendingPreIndex,
+            diags_.add(Code::SuspiciousActToPre, bank.pendingPreIndex,
                 "row held open only %.2f ns, violating nominal tRAS "
                 "(%.2f ns) with no SiMRA-completing ACT following: "
                 "the row is left with a partial charge restore",
@@ -377,7 +325,7 @@ class Walker
 
         if (t_on <= t.simraMaxActToPre && gap <= t.simraMaxPreToAct) {
             if (!same_subarray) {
-                add(Code::SuspiciousActToPre, bank.pendingPreIndex,
+                diags_.add(Code::SuspiciousActToPre, bank.pendingPreIndex,
                     "ACT-PRE-ACT with SiMRA-grade violations "
                     "(t_AggOn %.2f ns, PRE->ACT %.2f ns) but the two "
                     "rows are in different subarrays: no group "
@@ -386,7 +334,7 @@ class Walker
                 return;
             }
             if (!cfg_.profile.supportsSimra) {
-                add(Code::SimraUnsupported, act_index,
+                diags_.add(Code::SimraUnsupported, act_index,
                     "ACT-PRE-ACT matches the SiMRA signature, but "
                     "module %s ignores grossly violating commands "
                     "(no SiMRA support): the quick PRE and this ACT "
@@ -394,7 +342,7 @@ class Walker
                     cfg_.profile.moduleId.c_str());
                 return;
             }
-            add(Code::IntendedSimra, act_index,
+            diags_.add(Code::IntendedSimra, act_index,
                 "ACT-PRE-ACT with t_AggOn %.2f ns (<= %.2f ns) and "
                 "PRE->ACT %.2f ns (<= %.2f ns): intended SiMRA "
                 "multi-row activation",
@@ -406,7 +354,7 @@ class Walker
         if (t_on >= t.tRAS - units::ns && gap <= t.comraMaxPreToAct &&
             bank.pendingPhys != act_phys) {
             if (!same_subarray) {
-                add(Code::SuspiciousPreToAct, act_index,
+                diags_.add(Code::SuspiciousPreToAct, act_index,
                     "PRE->ACT gap %.2f ns is in the CoMRA window "
                     "(<= %.2f ns) but source and destination are in "
                     "different subarrays: no copy occurs, only an "
@@ -415,7 +363,7 @@ class Walker
                     units::toNs(t.comraMaxPreToAct));
                 return;
             }
-            add(Code::IntendedComra, act_index,
+            diags_.add(Code::IntendedComra, act_index,
                 "full tRAS restore then PRE->ACT %.2f ns (nominal "
                 "tRP %.2f ns, CoMRA window <= %.2f ns): intended "
                 "in-DRAM RowClone copy",
@@ -426,7 +374,7 @@ class Walker
 
         bool flagged = false;
         if (t_on < t.tRAS) {
-            add(Code::SuspiciousActToPre, bank.pendingPreIndex,
+            diags_.add(Code::SuspiciousActToPre, bank.pendingPreIndex,
                 "ACT->PRE gap %.2f ns violates nominal tRAS "
                 "(%.2f ns) but matches no PuD idiom (SiMRA needs "
                 "<= %.2f ns followed by an ACT within %.2f ns)",
@@ -436,7 +384,7 @@ class Walker
             flagged = true;
         }
         if (gap < t.tRP) {
-            add(Code::SuspiciousPreToAct, act_index,
+            diags_.add(Code::SuspiciousPreToAct, act_index,
                 "PRE->ACT gap %.2f ns violates nominal tRP (%.2f ns) "
                 "but matches no PuD idiom (CoMRA needs <= %.2f ns "
                 "after a full tRAS restore, same subarray)",
@@ -445,7 +393,7 @@ class Walker
             flagged = true;
         }
         if (!flagged && t_on + gap < t.tRC) {
-            add(Code::SuspiciousActToAct, act_index,
+            diags_.add(Code::SuspiciousActToAct, act_index,
                 "ACT->ACT spacing %.2f ns violates nominal tRC "
                 "(%.2f ns)",
                 units::toNs(t_on + gap), units::toNs(t.tRC));
@@ -468,7 +416,7 @@ class Walker
     checkColumnTiming(const BankSt &bank, std::size_t i, const char *op)
     {
         if (cursor_ - bank.openedAt < cfg_.timings.tRCD) {
-            add(Code::ColumnBeforeTrcd, i,
+            diags_.add(Code::ColumnBeforeTrcd, i,
                 "%s %.2f ns after ACT violates nominal tRCD "
                 "(%.2f ns): the row is not yet sensed",
                 op, units::toNs(cursor_ - bank.openedAt),
@@ -483,7 +431,7 @@ class Walker
             return;
         afterRef_ = false;
         if (cursor_ - lastRefAt_ < cfg_.timings.tRFC) {
-            add(Code::RefRecoveryShort, i,
+            diags_.add(Code::RefRecoveryShort, i,
                 "command issued %.2f ns after REF violates nominal "
                 "tRFC (%.2f ns)",
                 units::toNs(cursor_ - lastRefAt_),
@@ -491,17 +439,19 @@ class Walker
         }
     }
 
+  public:
     void
     step(std::size_t i)
     {
         const Inst &inst = program_.insts()[i];
         if (inst.gap < 0) {
-            add(Code::NegativeGap, i,
+            diags_.add(Code::NegativeGap, i,
                 "gap %lld ps is negative: command time would go "
                 "backwards",
                 static_cast<long long>(inst.gap));
         }
-        cursor_ += std::max<Time>(inst.gap, 0);
+        cursor_ = satAddT(cursor_, std::max<Time>(inst.gap, 0));
+        span_ = satAddT(span_, std::max<Time>(inst.gap, 0));
         if (inst.op == Op::Nop)
             return;
         checkRefRecovery(i);
@@ -509,7 +459,7 @@ class Walker
         const bool banked = inst.op == Op::Act || inst.op == Op::Pre ||
                             inst.op == Op::Rd || inst.op == Op::Wr;
         if (banked && inst.bank >= cfg_.banks) {
-            add(Code::BankOutOfRange, i,
+            diags_.add(Code::BankOutOfRange, i,
                 "command targets bank %u (device has %u banks)",
                 inst.bank, cfg_.banks);
             return;
@@ -518,7 +468,7 @@ class Walker
         switch (inst.op) {
           case Op::Act: {
             if (inst.row >= cfg_.rowsPerBank()) {
-                add(Code::RowOutOfRange, i,
+                diags_.add(Code::RowOutOfRange, i,
                     "ACT targets row %u (bank has %u rows)", inst.row,
                     cfg_.rowsPerBank());
                 return;
@@ -526,7 +476,7 @@ class Walker
             BankSt &bank = banks_[inst.bank];
             const dram::RowId phys = mapping_.toPhysical(inst.row);
             if (bank.st == BankSt::St::Open) {
-                add(Code::ActWhileOpen, i,
+                diags_.add(Code::ActWhileOpen, i,
                     "ACT to bank %u while row %u is open (missing "
                     "PRE): the device fatals here",
                     inst.bank, bank.openPhys);
@@ -544,7 +494,7 @@ class Walker
             if (bank.st == BankSt::St::Open)
                 closeBank(bank, i);
             else
-                add(Code::PreOnIdleBank, i,
+                diags_.add(Code::PreOnIdleBank, i,
                     "PRE on bank %u with no open row is a no-op "
                     "(duplicate PRE or wrong bank?)",
                     inst.bank);
@@ -559,7 +509,7 @@ class Walker
           case Op::Rd: {
             BankSt &bank = banks_[inst.bank];
             if (bank.st != BankSt::St::Open)
-                add(Code::RdOnClosedBank, i,
+                diags_.add(Code::RdOnClosedBank, i,
                     "RD on bank %u with no open row: the device "
                     "fatals here",
                     inst.bank);
@@ -570,7 +520,7 @@ class Walker
           case Op::Wr: {
             BankSt &bank = banks_[inst.bank];
             if (bank.st != BankSt::St::Open)
-                add(Code::WrOnClosedBank, i,
+                diags_.add(Code::WrOnClosedBank, i,
                     "WR on bank %u with no open row: the device "
                     "fatals here",
                     inst.bank);
@@ -579,13 +529,13 @@ class Walker
             const auto &table = program_.dataTable();
             if (inst.dataIndex < 0 ||
                 inst.dataIndex >= static_cast<int>(table.size())) {
-                add(Code::WrBadDataIndex, i,
+                diags_.add(Code::WrBadDataIndex, i,
                     "WR data index %d is outside the program data "
                     "table (%zu entries)",
                     inst.dataIndex, table.size());
             } else if (table[static_cast<std::size_t>(inst.dataIndex)]
                            .bits() != cfg_.cols) {
-                add(Code::WrWidthMismatch, i,
+                diags_.add(Code::WrWidthMismatch, i,
                     "WR data entry %d is %u bits wide, device rows "
                     "are %u bits",
                     inst.dataIndex,
@@ -599,7 +549,7 @@ class Walker
             for (dram::BankId b = 0; b < cfg_.banks; ++b) {
                 BankSt &bank = banks_[b];
                 if (bank.st == BankSt::St::Open)
-                    add(Code::RefWithOpenBank, i,
+                    diags_.add(Code::RefWithOpenBank, i,
                         "REF issued while bank %u has an open row: "
                         "the device fatals here",
                         b);
@@ -616,6 +566,7 @@ class Walker
         }
     }
 
+  private:
     void
     finish()
     {
@@ -624,7 +575,7 @@ class Walker
         for (dram::BankId b = 0; b < cfg_.banks; ++b) {
             BankSt &bank = banks_[b];
             if (bank.st == BankSt::St::Open)
-                add(Code::OpenBankAtEnd, last,
+                diags_.add(Code::OpenBankAtEnd, last,
                     "program ends with a row open on bank %u: the "
                     "next program's ACT to this bank will fatal",
                     b);
@@ -632,15 +583,14 @@ class Walker
         }
     }
 
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
     const Program &program_;
     const dram::DeviceConfig &cfg_;
     dram::RowMapping mapping_;
     LintResult &out_;
+    DiagSink diags_;
     std::vector<BankSt> banks_;
-    std::set<std::pair<int, std::size_t>> seen_;
-    Time cursor_ = 0;
+    Time cursor_ = 0;   //!< walked time (loop bodies at most twice)
+    Time span_ = 0;     //!< real duration, trip counts included
     Time lastRefAt_ = 0;
     bool afterRef_ = false;
 };
@@ -803,9 +753,9 @@ lintProgram(const bender::Program &program, const dram::DeviceConfig &cfg,
 LintResult
 requireClean(const bender::Program &program,
              const dram::DeviceConfig &cfg, const char *context,
-             const LintOptions &opts)
+             const LintOptions &opts, EffectReport *report_out)
 {
-    LintResult result = lintProgram(program, cfg, opts);
+    LintResult result = lintProgram(program, cfg, opts, report_out);
     for (const Diag &d : result.diags) {
         if (d.severity == Severity::Error) {
             fatal("%s: pre-flight lint failed: [%s] %s "

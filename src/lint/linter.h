@@ -91,12 +91,14 @@ LintResult lintProgram(const bender::Program &program,
 /**
  * Lint and fatal() on the first error-severity finding; returns the
  * result so callers can additionally surface warnings.  `context`
- * names the caller in the fatal message.
+ * names the caller in the fatal message; `report_out` is forwarded to
+ * lintProgram.
  */
 LintResult requireClean(const bender::Program &program,
                         const dram::DeviceConfig &cfg,
                         const char *context,
-                        const LintOptions &opts = {});
+                        const LintOptions &opts = {},
+                        EffectReport *report_out = nullptr);
 
 } // namespace pud::lint
 

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <map>
+#include <set>
 #include <string>
 
 #include "bender/host.h"
@@ -18,6 +22,7 @@
 #include "lint/effects.h"
 #include "lint/linter.h"
 #include "lint/report.h"
+#include "pud/semantics.h"
 
 namespace {
 
@@ -459,6 +464,37 @@ TEST(Lint, DurationMatchesExecutor)
     EXPECT_EQ(r.duration, exec.endTime - exec.startTime);
 }
 
+TEST(Lint, DurationSaturatesInsteadOfOverflowing)
+{
+    constexpr Time kMax = std::numeric_limits<Time>::max();
+    const auto cfg = smallConfig();
+
+    // Each loop alone fits (6e13 x 100 ns = 6e18 ps); their sum does
+    // not.
+    Program sum;
+    for (int k = 0; k < 2; ++k) {
+        sum.loopBegin(60'000'000'000'000ull)
+            .act(0, 1, 50 * units::ns)
+            .pre(0, 50 * units::ns)
+            .loopEnd();
+    }
+    EXPECT_EQ(lintProgram(sum, cfg).duration, kMax);
+    EXPECT_EQ(summarizeEffects(sum, cfg).duration, kMax);
+
+    // A count-1 loop around a body that already saturated, followed
+    // by one more nanosecond.
+    Program nested;
+    nested.loopBegin(1)
+        .loopBegin(std::numeric_limits<std::uint64_t>::max())
+        .act(0, 1, 50 * units::ns)
+        .pre(0, 50 * units::ns)
+        .loopEnd()
+        .loopEnd()
+        .nop(units::ns);
+    EXPECT_EQ(lintProgram(nested, cfg).duration, kMax);
+    EXPECT_EQ(summarizeEffects(nested, cfg).duration, kMax);
+}
+
 TEST(Lint, NamesAreStable)
 {
     for (int c = 0; c <= static_cast<int>(Code::DiagFlood); ++c) {
@@ -570,6 +606,39 @@ TEST(AbsInt, TripCountIndependence)
     // A steady-state loop pins min == max inter-ACT spacing.
     EXPECT_GT(row->minInterAct, 0);
     EXPECT_EQ(row->minInterAct, row->maxInterAct);
+
+    // Nested loops: two passes of the outer body, each walking the
+    // inner LoopBegin plus two passes of its two instructions.
+    auto nested = [&](std::uint64_t outer, std::uint64_t inner) {
+        Program p;
+        p.loopBegin(outer)
+            .loopBegin(inner)
+            .act(0, 1, kT.tRP)
+            .pre(0, kT.tRAS)
+            .loopEnd()
+            .loopEnd();
+        return summarizeEffects(p, cfg);
+    };
+    EXPECT_EQ(nested(10, 100).steps, 11u);
+    EXPECT_EQ(nested(1000, 1000000).steps, 11u);
+    EXPECT_EQ(nested(1000, 1000000).totalActs, 1000000000u);
+
+    // Unbalanced: the unclosed LoopBegin and the tail once, with the
+    // balanced loop inside the tail walked twice.
+    auto unbalanced = [&](std::uint64_t outer, std::uint64_t inner) {
+        Program p;
+        p.loopBegin(outer)
+            .act(0, 1, kT.tRP)
+            .pre(0, kT.tRAS)
+            .loopBegin(inner)
+            .act(0, 3, kT.tRP)
+            .pre(0, kT.tRAS)
+            .loopEnd();
+        return summarizeEffects(p, cfg);
+    };
+    EXPECT_EQ(unbalanced(10, 100).steps, 8u);
+    EXPECT_EQ(unbalanced(1000, 1000000).steps, 8u);
+    EXPECT_FALSE(unbalanced(1000, 1000000).exact);
 }
 
 TEST(AbsInt, ClassifiesComraCloses)
@@ -606,6 +675,79 @@ TEST(AbsInt, ClassifiesSimraGroupCloses)
     // Only the two issued addresses accrue ACT commands.
     EXPECT_EQ(findRow(fx, 0, 32)->acts, 4000u);
     EXPECT_EQ(findRow(fx, 0, 34)->acts, 0u);
+}
+
+TEST(AbsInt, CloseClassesFollowSharedReopenClassifier)
+{
+    // ACT r1 - PRE - ACT r2 - PRE on a grid of t_AggOn / PRE->ACT
+    // values straddling every window edge: the close classes the
+    // summary records must be the ones semantics::classifyReopen
+    // names for the pair.
+    const dram::TimingParams &t = smallConfig().timings;
+    const Time on_times[] = {t.simraMaxActToPre, t.simraMaxActToPre + 1,
+                             t.tRAS - units::ns - 1, t.tRAS - units::ns};
+    const Time gaps[] = {t.simraMaxPreToAct, t.simraMaxPreToAct + 1,
+                         t.comraMaxPreToAct, t.comraMaxPreToAct + 1};
+    // Same row (a degenerate SiMRA group), a 4-row decoder group in
+    // the same subarray, and a row in the next subarray.
+    const RowId r1 = 32;
+    const RowId seconds[] = {32, 38, 96};
+
+    std::set<semantics::ReopenClass> seen;
+    for (bool simra : {true, false}) {
+        auto cfg = smallConfig();
+        cfg.profile.supportsSimra = simra;
+        const semantics::Geometry g = semantics::geometryOf(cfg);
+        for (Time t_on : on_times) {
+            for (Time gap : gaps) {
+                for (RowId r2 : seconds) {
+                    Program p;
+                    p.act(0, r1, t.tRP)
+                        .pre(0, t_on)
+                        .act(0, r2, gap)
+                        .pre(0, t.tRAS);
+                    const auto cls = semantics::classifyReopen(
+                        cfg.timings, g, r1, r2, t_on, gap);
+                    seen.insert(cls);
+
+                    std::map<RowId, std::array<std::uint64_t, 3>> want;
+                    switch (cls) {
+                      case semantics::ReopenClass::Conventional:
+                        ++want[r1][kConv];
+                        ++want[r2][kConv];
+                        break;
+                      case semantics::ReopenClass::ComraCopy:
+                        ++want[r1][kComra];
+                        ++want[r2][kComra];
+                        break;
+                      case semantics::ReopenClass::SimraGroup:
+                        for (RowId r : semantics::simraActivatedSet(
+                                 g, r1, r2))
+                            ++want[r][kSimra];
+                        break;
+                      case semantics::ReopenClass::SimraIgnored:
+                        // r1 stays open; the second PRE closes it.
+                        ++want[r1][kConv];
+                        break;
+                    }
+
+                    const auto fx = summarizeEffects(p, cfg);
+                    std::map<RowId, std::array<std::uint64_t, 3>> got;
+                    for (const auto &[key, ra] : fx.rows) {
+                        if (ra.totalCloses() > 0)
+                            got[static_cast<RowId>(key)] = {
+                                ra.closes[0], ra.closes[1],
+                                ra.closes[2]};
+                    }
+                    EXPECT_EQ(got, want)
+                        << "simra " << simra << " t_on " << t_on
+                        << " gap " << gap << " r2 " << r2 << " class "
+                        << static_cast<int>(cls);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(seen.size(), 4u);  // the grid reaches every class
 }
 
 TEST(AbsInt, NestedLoopsMultiply)
