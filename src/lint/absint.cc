@@ -7,9 +7,7 @@
 
 #include "bender/plan.h"
 #include "dram/device.h"
-#include "dram/mapping.h"
-#include "lint/walk.h"
-#include "pud/semantics.h"
+#include "lint/banks.h"
 
 namespace pud::lint {
 
@@ -21,15 +19,13 @@ using bender::Program;
 using bender::satAdd;
 using bender::satMul;
 using dram::BankId;
-using dram::OpenKind;
 using dram::RowId;
 using dram::TechClass;
 
 /**
- * The abstract walk: a per-bank open/pending machine mirroring
- * Device::act/pre (reopens classified by pud::semantics), with loop
- * bodies walked at most twice and the remaining iterations replayed
- * arithmetically.
+ * The abstract walk: close accounting on top of the shared bank
+ * machine (lint/banks.h), with loop bodies walked at most twice and
+ * the remaining iterations replayed arithmetically.
  */
 class AbsWalker
 {
@@ -37,12 +33,9 @@ class AbsWalker
     AbsWalker(const Program &program, const dram::DeviceConfig &cfg,
               ProgramEffects &out, SamplerTrace *trace)
         : program_(program),
-          cfg_(cfg),
-          mapping_(cfg.profile.mapping),
-          geom_(semantics::geometryOf(cfg)),
           out_(out),
           trace_(trace),
-          banks_(cfg.banks)
+          banks_(cfg)
     {
         if (trace_ != nullptr) {
             trace_->window = dram::Device::kTrrWindow;
@@ -59,8 +52,10 @@ class AbsWalker
     run()
     {
         walkProgram(program_, *this);
-        finish();
-        out_.duration = cursor_;
+        banks_.finish(*this);
+        // The trailing (REF-less) stretch is an epoch too.
+        foldEpochs();
+        out_.duration = banks_.now();
         out_.lastRefAt = lastRefAt_;
     }
 
@@ -81,7 +76,7 @@ class AbsWalker
         if (count < 2)
             return;
         const Snapshot snap{out_.totalActs, out_.totalRefs, out_.rows};
-        const Time loop_start = cursor_;
+        const Time loop_start = banks_.now();
         std::size_t refs_mark = 0;
         std::vector<std::size_t> push_marks;
         if (trace_ != nullptr) {
@@ -109,25 +104,6 @@ class AbsWalker
     }
 
   private:
-    struct BankSt
-    {
-        bool open = false;
-        std::vector<RowId> openRows;  //!< physical; > 1 for SiMRA
-        OpenKind kind = OpenKind::Normal;
-        Time openedAt = 0;
-        Time comraDelay = 0;  //!< of a ComraDst open
-        Time simraActToPre = 0, simraPreToAct = 0;
-
-        bool pendingValid = false;
-        bool pendingRecorded = false;  //!< close already counted
-        std::vector<RowId> pendingRows;
-        Time pendingTOn = 0;
-        Time pendingClosedAt = 0;
-        Time pendingOpenedAt = 0;
-        OpenKind pendingKind = OpenKind::Normal;
-        Time pendingComraDelay = 0;
-    };
-
     /** Additive state captured before a steady-state pass. */
     struct Snapshot
     {
@@ -150,7 +126,7 @@ class AbsWalker
     void
     replayTail(const Snapshot &snap, Time loop_start, std::uint64_t reps)
     {
-        const Time body = cursor_ - loop_start;
+        const Time body = banks_.now() - loop_start;
         const std::uint64_t body_refs =
             out_.totalRefs - snap.totalRefs;
 
@@ -203,7 +179,7 @@ class AbsWalker
 
         const Time skipped = satMulT(body, reps);
         shiftTimes(loop_start, skipped);
-        cursor_ = satAddT(cursor_, skipped);
+        banks_.skip(loop_start, skipped);
     }
 
     /**
@@ -260,7 +236,7 @@ class AbsWalker
         }
     }
 
-    /** Shift every timestamp set during the steady-state pass. */
+    /** Shift the pass's timestamps set during the steady-state pass. */
     void
     shiftTimes(Time from, Time delta)
     {
@@ -274,18 +250,13 @@ class AbsWalker
             shift(t);
         if (lastRefAt_ >= 0)
             shift(lastRefAt_);
-        for (BankSt &bank : banks_) {
-            shift(bank.openedAt);
-            shift(bank.pendingClosedAt);
-            shift(bank.pendingOpenedAt);
-        }
     }
 
     /**
-     * Mirror of Device::trrRecord: recordAct() is called at exactly
-     * the sites the device pushes into the TRR sampler ring (normal
-     * opens, the CoMRA dst ACT, the SiMRA second ACT), so the trace
-     * ring tracks the real sampler push-for-push on walked passes.
+     * Mirror of Device::trrRecord: the bank machine's `opened` hook
+     * fires at exactly the sites the device pushes into the TRR
+     * sampler ring, so the trace ring tracks the real sampler
+     * push-for-push on walked passes.
      */
     void
     samplerPush(BankId b, RowId phys)
@@ -298,8 +269,38 @@ class AbsWalker
         trace_->pushes[b] = satAdd(trace_->pushes[b], 1);
     }
 
+  public:
     void
-    recordAct(BankId b, RowId phys, std::size_t i)
+    step(std::size_t i)
+    {
+        ++out_.steps;
+        const Inst &inst = program_.insts()[i];
+        banks_.step(i, inst, *this);
+        if (inst.op != Op::Ref)
+            return;
+        const Time now = banks_.now();
+        out_.totalRefs = satAdd(out_.totalRefs, 1);
+        if (lastRefAt_ >= 0) {
+            const Time gap = now - lastRefAt_;
+            if (gap > out_.maxRefGap) {
+                out_.maxRefGap = gap;
+                out_.maxRefGapIndex = i;
+            }
+        }
+        if (out_.firstRefAt < 0)
+            out_.firstRefAt = now;
+        lastRefAt_ = now;
+        // The machine flushed the pending closes, which belong to the
+        // epoch this REF ends; fold it now and open the next one.
+        foldEpochs();
+        if (trace_ != nullptr)
+            recordRefPoints(i);
+    }
+
+    // ---- bank machine hooks (lint/banks.h) --------------------------------
+
+    void
+    opened(BankId b, RowId phys, std::size_t i)
     {
         RowActivity &ra = rowOf(b, phys);
         if (ra.acts == 0)
@@ -309,222 +310,58 @@ class AbsWalker
         if (trace_ != nullptr)
             samplerPush(b, phys);
 
+        const Time now = banks_.now();
         const std::uint64_t key = rowKey(b, phys);
         const auto it = lastActAt_.find(key);
         if (it != lastActAt_.end()) {
-            const Time gap = cursor_ - it->second;
+            const Time gap = now - it->second;
             if (ra.minInterAct == 0 || gap < ra.minInterAct)
                 ra.minInterAct = gap;
             ra.maxInterAct = std::max(ra.maxInterAct, gap);
-            it->second = cursor_;
+            it->second = now;
         } else {
-            lastActAt_[key] = cursor_;
+            lastActAt_[key] = now;
         }
     }
 
+    void copied(BankId, RowId, RowId, std::size_t) {}
+    void merged(BankId, const std::vector<RowId> &, std::size_t) {}
+
+    /** `bank.rows` closed; every row takes the close. */
     void
-    recordClose(BankId b, const BankSt &bank, TechClass cls, RowId phys,
-                Time t_on)
+    closed(BankId b, const Bank &bank, TechClass cls, Time t_on)
     {
-        RowActivity &ra = rowOf(b, phys);
         const int c = static_cast<int>(cls);
-        ra.closes[c] = satAdd(ra.closes[c], 1);
-        ra.epochCloses[c] = satAdd(ra.epochCloses[c], 1);
-        ra.onTime[c] = satAddT(ra.onTime[c], std::max<Time>(t_on, 0));
-        ra.maxOnTime[c] =
-            std::max(ra.maxOnTime[c], std::max<Time>(t_on, 0));
-        switch (cls) {
-          case TechClass::Comra:
-            ra.comraDelaySum =
-                satAddT(ra.comraDelaySum, bank.comraDelay);
-            if (ra.minComraDelay < 0 ||
-                bank.comraDelay < ra.minComraDelay)
-                ra.minComraDelay = bank.comraDelay;
-            break;
-          case TechClass::Simra:
-            ra.simraActToPreSum =
-                satAddT(ra.simraActToPreSum, bank.simraActToPre);
-            ra.simraPreToActSum =
-                satAddT(ra.simraPreToActSum, bank.simraPreToAct);
-            ra.maxSimraActToPre =
-                std::max(ra.maxSimraActToPre, bank.simraActToPre);
-            ra.maxSimraPreToAct =
-                std::max(ra.maxSimraPreToAct, bank.simraPreToAct);
-            ra.simraN = std::max(
-                ra.simraN, static_cast<int>(bank.openRows.size()));
-            break;
-          case TechClass::Conventional:
-            break;
-        }
-    }
-
-    /** Record the close(s) of an open row (group), classified by kind. */
-    void
-    recordOpenClose(BankId b, BankSt &bank, Time t_on)
-    {
-        TechClass cls = TechClass::Conventional;
-        if (bank.kind == OpenKind::ComraDst)
-            cls = TechClass::Comra;
-        else if (bank.kind == OpenKind::Simra)
-            cls = TechClass::Simra;
-        for (RowId r : bank.openRows)
-            recordClose(b, bank, cls, r, t_on);
-    }
-
-    /** Resolve an unconsumed pending close as conventional. */
-    void
-    dropPending(BankId b, BankSt &bank)
-    {
-        if (!bank.pendingValid)
-            return;
-        bank.pendingValid = false;
-        if (bank.pendingRecorded)
-            return;
-        for (RowId r : bank.pendingRows)
-            recordClose(b, bank, TechClass::Conventional, r,
-                        bank.pendingTOn);
-    }
-
-    void
-    act(std::size_t i, const Inst &inst)
-    {
-        if (inst.bank >= cfg_.banks || inst.row >= cfg_.rowsPerBank())
-            return;  // protocol errors are the Walker's business
-        BankSt &bank = banks_[inst.bank];
-        const RowId phys = mapping_.toPhysical(inst.row);
-        if (bank.open)
-            return;  // ACT-while-open fatals at execution time
-
-        if (bank.pendingValid) {
-            const Time gap = cursor_ - bank.pendingClosedAt;
-            const semantics::ReopenClass cls =
-                bank.pendingRows.size() == 1
-                    ? semantics::classifyReopen(
-                          cfg_.timings, geom_, bank.pendingRows.front(),
-                          phys, bank.pendingTOn, gap)
-                    : semantics::ReopenClass::Conventional;
+        const Time on = std::max<Time>(t_on, 0);
+        for (RowId r : bank.rows) {
+            RowActivity &ra = rowOf(b, r);
+            ra.closes[c] = satAdd(ra.closes[c], 1);
+            ra.epochCloses[c] = satAdd(ra.epochCloses[c], 1);
+            ra.onTime[c] = satAddT(ra.onTime[c], on);
+            ra.maxOnTime[c] = std::max(ra.maxOnTime[c], on);
             switch (cls) {
-              case semantics::ReopenClass::SimraIgnored:
-                // Chip ignores both commands; the first row stays open
-                // with its original activation time.
-                bank.open = true;
-                bank.openRows = bank.pendingRows;
-                bank.kind = bank.pendingKind;
-                bank.openedAt = bank.pendingOpenedAt;
-                bank.comraDelay = bank.pendingComraDelay;
-                bank.pendingValid = false;
-                return;
-              case semantics::ReopenClass::SimraGroup:
-                // The blip is part of this op, not a real close.
-                bank.pendingValid = false;
-                bank.open = true;
-                bank.openRows = semantics::simraActivatedSet(
-                    geom_, bank.pendingRows.front(), phys);
-                bank.kind = OpenKind::Simra;
-                bank.openedAt = cursor_;
-                bank.simraActToPre = bank.pendingTOn;
-                bank.simraPreToAct = gap;
-                recordAct(inst.bank, phys, i);
-                return;
-              case semantics::ReopenClass::ComraCopy:
-                bank.comraDelay = gap;
-                if (!bank.pendingRecorded) {
-                    // Retro-tag the source close as the copy cycle's
-                    // first half.
-                    recordClose(inst.bank, bank, TechClass::Comra,
-                                bank.pendingRows.front(),
-                                bank.pendingTOn);
-                }
-                bank.pendingValid = false;
-                bank.open = true;
-                bank.openRows.assign(1, phys);
-                bank.kind = OpenKind::ComraDst;
-                bank.openedAt = cursor_;
-                recordAct(inst.bank, phys, i);
-                return;
-              case semantics::ReopenClass::Conventional:
-                dropPending(inst.bank, bank);
+              case TechClass::Comra:
+                ra.comraDelaySum =
+                    satAddT(ra.comraDelaySum, bank.comraDelay);
+                if (ra.minComraDelay < 0 ||
+                    bank.comraDelay < ra.minComraDelay)
+                    ra.minComraDelay = bank.comraDelay;
+                break;
+              case TechClass::Simra:
+                ra.simraActToPreSum =
+                    satAddT(ra.simraActToPreSum, bank.simraActToPre);
+                ra.simraPreToActSum =
+                    satAddT(ra.simraPreToActSum, bank.simraPreToAct);
+                ra.maxSimraActToPre =
+                    std::max(ra.maxSimraActToPre, bank.simraActToPre);
+                ra.maxSimraPreToAct =
+                    std::max(ra.maxSimraPreToAct, bank.simraPreToAct);
+                ra.simraN = std::max(
+                    ra.simraN, static_cast<int>(bank.rows.size()));
+                break;
+              case TechClass::Conventional:
                 break;
             }
-        }
-
-        bank.open = true;
-        bank.openRows.assign(1, phys);
-        bank.kind = OpenKind::Normal;
-        bank.openedAt = cursor_;
-        recordAct(inst.bank, phys, i);
-    }
-
-    void
-    pre(BankId b)
-    {
-        BankSt &bank = banks_[b];
-        if (!bank.open)
-            return;
-        dropPending(b, bank);
-        const Time t_on = cursor_ - bank.openedAt;
-        bank.pendingValid = true;
-        bank.pendingRows = bank.openRows;
-        bank.pendingTOn = t_on;
-        bank.pendingClosedAt = cursor_;
-        bank.pendingOpenedAt = bank.openedAt;
-        bank.pendingKind = bank.kind;
-        bank.pendingComraDelay = bank.comraDelay;
-        // Non-conventional closes can never reclassify (a SiMRA group
-        // pending is multi-row; a CoMRA dst pending re-copying is
-        // still one Comra close), so count them immediately.
-        bank.pendingRecorded = bank.kind != OpenKind::Normal;
-        if (bank.pendingRecorded)
-            recordOpenClose(b, bank, t_on);
-        bank.open = false;
-    }
-
-  public:
-    void
-    step(std::size_t i)
-    {
-        ++out_.steps;
-        const Inst &inst = program_.insts()[i];
-        cursor_ = satAddT(cursor_, std::max<Time>(inst.gap, 0));
-        switch (inst.op) {
-          case Op::Act:
-            act(i, inst);
-            break;
-          case Op::Pre:
-            if (inst.bank < cfg_.banks)
-                pre(inst.bank);
-            break;
-          case Op::PreAll:
-            for (BankId b = 0; b < cfg_.banks; ++b)
-                pre(b);
-            break;
-          case Op::Ref: {
-            out_.totalRefs = satAdd(out_.totalRefs, 1);
-            if (lastRefAt_ >= 0) {
-                const Time gap = cursor_ - lastRefAt_;
-                if (gap > out_.maxRefGap) {
-                    out_.maxRefGap = gap;
-                    out_.maxRefGapIndex = i;
-                }
-            }
-            if (out_.firstRefAt < 0)
-                out_.firstRefAt = cursor_;
-            lastRefAt_ = cursor_;
-            for (BankId b = 0; b < cfg_.banks; ++b)
-                dropPending(b, banks_[b]);
-            // Pending closes flushed above belong to the epoch this
-            // REF ends; fold it now and open the next one.
-            foldEpochs();
-            if (trace_ != nullptr)
-                recordRefPoints(i);
-            break;
-          }
-          case Op::Rd:
-          case Op::Wr:
-          case Op::Nop:
-          case Op::LoopBegin:
-          case Op::LoopEnd:
-            break;
         }
     }
 
@@ -546,7 +383,7 @@ class AbsWalker
     void
     recordRefPoints(std::size_t i)
     {
-        for (BankId b = 0; b < cfg_.banks; ++b) {
+        for (BankId b = 0; b < rings_.size(); ++b) {
             if (trace_->refs.size() >= kMaxSamplerRefPoints) {
                 trace_->truncated = true;
                 return;
@@ -564,32 +401,11 @@ class AbsWalker
         }
     }
 
-    void
-    finish()
-    {
-        for (BankId b = 0; b < cfg_.banks; ++b) {
-            BankSt &bank = banks_[b];
-            if (bank.open) {
-                // The row will disturb its neighbours whenever it is
-                // eventually closed; count that close now.
-                recordOpenClose(b, bank, cursor_ - bank.openedAt);
-                bank.open = false;
-            }
-            dropPending(b, bank);
-        }
-        // The trailing (REF-less) stretch is an epoch too.
-        foldEpochs();
-    }
-
     const Program &program_;
-    const dram::DeviceConfig &cfg_;
-    dram::RowMapping mapping_;
-    semantics::Geometry geom_;
     ProgramEffects &out_;
     SamplerTrace *trace_;
-    std::vector<BankSt> banks_;
+    BankMachine banks_;
     std::map<std::uint64_t, Time> lastActAt_;
-    Time cursor_ = 0;
     Time lastRefAt_ = -1;
 
     // Sampler trace state (only sized when trace_ != nullptr).

@@ -209,8 +209,8 @@ struct SamplerTrace
 /**
  * Compute the symbolic summary of `program` on a device config.  When
  * `trace` is non-null it is filled with the abstract TRR sampler
- * occupancy (slower; keyed to the same recordAct sites Device's
- * trrRecord uses).
+ * occupancy (slower; pushed at the same ACTs Device's trrRecord
+ * samples).
  */
 ProgramEffects summarizeEffects(const bender::Program &program,
                                 const dram::DeviceConfig &cfg,

@@ -5,10 +5,8 @@
 #include <string>
 #include <utility>
 
-#include "dram/mapping.h"
+#include "lint/banks.h"
 #include "lint/effects.h"
-#include "lint/walk.h"
-#include "pud/semantics.h"
 
 namespace pud::lint {
 
@@ -56,9 +54,9 @@ valueLess(const RowState &a, const RowState &b)
 }
 
 /**
- * The dataflow walk: the absint bank machine (open / pending close,
- * reopen classification through pud::semantics) extended with the
- * per-row contents lattice, loop bodies walked to a state fixpoint.
+ * The dataflow walk: the per-row contents lattice driven by the shared
+ * bank machine (lint/banks.h), whose CoMRA copies and SiMRA merges it
+ * interprets; loop bodies are walked to a state fixpoint.
  */
 class DfWalker
 {
@@ -66,13 +64,11 @@ class DfWalker
     DfWalker(const Program &program, const dram::DeviceConfig &cfg,
              const ProgramEffects &fx, DataflowResult &out)
         : program_(program),
-          cfg_(cfg),
-          mapping_(cfg.profile.mapping),
-          geom_(semantics::geometryOf(cfg)),
           fx_(fx),
           out_(out),
           diags_(out.diags),
-          banks_(cfg.banks)
+          banks_(cfg),
+          geom_(banks_.geometry())
     {}
 
     void
@@ -103,7 +99,7 @@ class DfWalker
         Time loop_start = 0;
         while (executed < count && executed < kLoopPassCap) {
             before = capture();
-            loop_start = cursor_;
+            loop_start = banks_.now();
             body();
             ++executed;
             if (sameState(before)) {
@@ -137,42 +133,17 @@ class DfWalker
     }
 
   private:
-    struct BankSt
-    {
-        bool open = false;
-        std::vector<RowId> openRows;  //!< physical; > 1 for SiMRA
-        Time openedAt = 0;
-
-        bool pendingValid = false;
-        std::vector<RowId> pendingRows;
-        Time pendingTOn = 0;
-        Time pendingClosedAt = 0;
-        Time pendingOpenedAt = 0;
-    };
-
-    /** Time-free machine + row-state image for fixpoint detection. */
+    /** Row-state image and time-free bank state, for fixpoints. */
     struct Snapshot
     {
         std::map<std::uint64_t, RowState> rows;
-        std::vector<std::pair<std::vector<RowId>, std::vector<RowId>>>
-            banks;  //!< (openRows-or-empty, pendingRows-or-empty)
-        std::vector<std::uint8_t> flags;  //!< open<<1 | pendingValid
+        std::vector<Bank> banks;
     };
 
     Snapshot
     capture() const
     {
-        Snapshot s;
-        s.rows = out_.rows;
-        for (const BankSt &b : banks_) {
-            s.banks.push_back({b.open ? b.openRows : std::vector<RowId>{},
-                               b.pendingValid ? b.pendingRows
-                                              : std::vector<RowId>{}});
-            s.flags.push_back(
-                static_cast<std::uint8_t>((b.open ? 2 : 0) |
-                                          (b.pendingValid ? 1 : 0)));
-        }
-        return s;
+        return {out_.rows, banks_.banks()};
     }
 
     bool
@@ -186,18 +157,7 @@ class DfWalker
                 return false;
             ++it;
         }
-        for (std::size_t b = 0; b < banks_.size(); ++b) {
-            const BankSt &bk = banks_[b];
-            const std::uint8_t f = static_cast<std::uint8_t>(
-                (bk.open ? 2 : 0) | (bk.pendingValid ? 1 : 0));
-            if (s.flags[b] != f)
-                return false;
-            if (bk.open && s.banks[b].first != bk.openRows)
-                return false;
-            if (bk.pendingValid && s.banks[b].second != bk.pendingRows)
-                return false;
-        }
-        return true;
+        return banks_.sameRows(s.banks);
     }
 
     RowState &
@@ -215,24 +175,12 @@ class DfWalker
         st.defIndex = begin;
     }
 
-    /** Advance the cursor over `reps` identity iterations. */
+    /** Advance the clock over `reps` identity iterations. */
     void
     skipIterations(Time loop_start, std::uint64_t reps)
     {
-        const Time body = cursor_ - loop_start;
-        const Time skipped = satMulT(body, reps);
-        if (skipped <= 0)
-            return;
-        for (BankSt &bank : banks_) {
-            auto shift = [&](Time &t) {
-                if (t >= loop_start)
-                    t = satAddT(t, skipped);
-            };
-            shift(bank.openedAt);
-            shift(bank.pendingClosedAt);
-            shift(bank.pendingOpenedAt);
-        }
-        cursor_ = satAddT(cursor_, skipped);
+        banks_.skip(loop_start,
+                    satMulT(banks_.now() - loop_start, reps));
     }
 
     // ---- consumption and definition ------------------------------------
@@ -364,10 +312,11 @@ class DfWalker
      * so the merge happens at the ACT, before any WR.
      */
     void
-    doMerge(std::size_t i, BankId b, const std::vector<RowId> &group,
-            RowId anchor_phys)
+    doMerge(std::size_t i, BankId b, const std::vector<RowId> &group)
     {
-        const dram::SubarrayId sub = geom_.subarrayOf(anchor_phys);
+        // The decoder expands within the first ACT's subarray, which
+        // holds the group's lowest row.
+        const dram::SubarrayId sub = geom_.subarrayOf(group.front());
         bool crosses = false;
         for (RowId r : group)
             crosses |= !geom_.contains(r) || geom_.subarrayOf(r) != sub;
@@ -498,86 +447,14 @@ class DfWalker
     // ---- instruction handlers -------------------------------------------
 
     void
-    act(std::size_t i, const Inst &inst)
-    {
-        if (inst.bank >= cfg_.banks || inst.row >= cfg_.rowsPerBank())
-            return;  // protocol errors are the Walker's business
-        BankSt &bank = banks_[inst.bank];
-        const RowId phys = mapping_.toPhysical(inst.row);
-        if (bank.open)
-            return;  // ACT-while-open fatals at execution time
-
-        if (bank.pendingValid) {
-            const Time gap = cursor_ - bank.pendingClosedAt;
-            const semantics::ReopenClass cls =
-                bank.pendingRows.size() == 1
-                    ? semantics::classifyReopen(
-                          cfg_.timings, geom_, bank.pendingRows.front(),
-                          phys, bank.pendingTOn, gap)
-                    : semantics::ReopenClass::Conventional;
-            switch (cls) {
-              case semantics::ReopenClass::SimraIgnored:
-                // Chip ignores both commands; the previous row stays
-                // open with its original activation time.
-                bank.open = true;
-                bank.openRows = bank.pendingRows;
-                bank.openedAt = bank.pendingOpenedAt;
-                bank.pendingValid = false;
-                return;
-              case semantics::ReopenClass::SimraGroup: {
-                const auto group = semantics::simraActivatedSet(
-                    geom_, bank.pendingRows.front(), phys);
-                bank.pendingValid = false;
-                bank.open = true;
-                bank.openRows.clear();
-                for (RowId r : group)
-                    if (geom_.contains(r))
-                        bank.openRows.push_back(r);
-                bank.openedAt = cursor_;
-                doMerge(i, inst.bank, group, phys);
-                return;
-              }
-              case semantics::ReopenClass::ComraCopy:
-                doCopy(i, inst.bank, bank.pendingRows.front(), phys);
-                bank.pendingValid = false;
-                bank.open = true;
-                bank.openRows.assign(1, phys);
-                bank.openedAt = cursor_;
-                return;
-              case semantics::ReopenClass::Conventional:
-                bank.pendingValid = false;
-                break;
-            }
-        }
-
-        bank.open = true;
-        bank.openRows.assign(1, phys);
-        bank.openedAt = cursor_;
-    }
-
-    void
-    pre(BankId b)
-    {
-        BankSt &bank = banks_[b];
-        if (!bank.open)
-            return;
-        bank.pendingValid = true;
-        bank.pendingRows = bank.openRows;
-        bank.pendingTOn = cursor_ - bank.openedAt;
-        bank.pendingClosedAt = cursor_;
-        bank.pendingOpenedAt = bank.openedAt;
-        bank.open = false;
-    }
-
-    void
     rd(std::size_t i, const Inst &inst)
     {
-        if (inst.bank >= cfg_.banks)
+        if (inst.bank >= banks_.banks().size())
             return;
-        BankSt &bank = banks_[inst.bank];
-        if (!bank.open || bank.openRows.empty())
+        const Bank &bank = banks_.banks()[inst.bank];
+        if (bank.state != Bank::State::Open)
             return;  // RdOnClosedBank is the Walker's error
-        const RowId phys = bank.openRows.front();
+        const RowId phys = bank.rows.front();
         const RowState &st = stateOf(inst.bank, phys);
         if (!st.defined()) {
             diags_.add(Code::DfReadUndefined, i,
@@ -597,10 +474,10 @@ class DfWalker
     void
     wr(std::size_t i, const Inst &inst)
     {
-        if (inst.bank >= cfg_.banks)
+        if (inst.bank >= banks_.banks().size())
             return;
-        BankSt &bank = banks_[inst.bank];
-        if (!bank.open)
+        const Bank &bank = banks_.banks()[inst.bank];
+        if (bank.state != Bank::State::Open)
             return;  // WrOnClosedBank is the Walker's error
         RowState v;
         if (inst.dataIndex >= 0 &&
@@ -611,7 +488,12 @@ class DfWalker
         } else {
             v.kind = RowStateKind::Unknown;  // WrBadDataIndex fatals
         }
-        for (RowId r : bank.openRows) {
+        for (RowId r : bank.rows) {
+            // A group that crosses a subarray boundary (only possible
+            // when rowsPerSubarray is not a power of two) can spill
+            // past the last row of the bank.
+            if (!geom_.contains(r))
+                continue;
             checkDeadWrite(i, inst.bank, r);
             define(inst.bank, r, v, i);
         }
@@ -622,35 +504,30 @@ class DfWalker
     step(std::size_t i)
     {
         const Inst &inst = program_.insts()[i];
-        cursor_ = satAddT(cursor_, std::max<Time>(inst.gap, 0));
-        switch (inst.op) {
-          case Op::Act:
-            act(i, inst);
-            break;
-          case Op::Pre:
-            if (inst.bank < cfg_.banks)
-                pre(inst.bank);
-            break;
-          case Op::PreAll:
-            for (BankId b = 0; b < cfg_.banks; ++b)
-                pre(b);
-            break;
-          case Op::Rd:
+        banks_.step(i, inst, *this);
+        if (inst.op == Op::Rd)
             rd(i, inst);
-            break;
-          case Op::Wr:
+        else if (inst.op == Op::Wr)
             wr(i, inst);
-            break;
-          case Op::Ref:
-            for (BankId b = 0; b < cfg_.banks; ++b)
-                banks_[b].pendingValid = false;
-            break;
-          case Op::Nop:
-          case Op::LoopBegin:
-          case Op::LoopEnd:
-            break;
-        }
     }
+
+    // ---- bank machine hooks (lint/banks.h) --------------------------------
+
+    void opened(BankId, RowId, std::size_t) {}
+
+    void
+    copied(BankId b, RowId src, RowId dst, std::size_t i)
+    {
+        doCopy(i, b, src, dst);
+    }
+
+    void
+    merged(BankId b, const std::vector<RowId> &group, std::size_t i)
+    {
+        doMerge(i, b, group);
+    }
+
+    void closed(BankId, const Bank &, dram::TechClass, Time) {}
 
   private:
     /**
@@ -692,16 +569,13 @@ class DfWalker
     }
 
     const Program &program_;
-    const dram::DeviceConfig &cfg_;
-    dram::RowMapping mapping_;
-    semantics::Geometry geom_;
     const ProgramEffects &fx_;
     DataflowResult &out_;
     DiagSink diags_;
-    std::vector<BankSt> banks_;
+    BankMachine banks_;
+    const semantics::Geometry &geom_;
     std::map<BankId, std::set<dram::SubarrayId>> pudSubs_;
     std::map<std::string, int> mergeIds_;
-    Time cursor_ = 0;
 };
 
 } // namespace

@@ -16,7 +16,11 @@
  *    time, sizes) are ever recorded -- wall-clock timing belongs in
  *    the trace (obs/trace.h), which makes no determinism claim.
  *    Snapshots merge all shards and sort by name, so the printout is
- *    byte-identical across thread counts and schedules.
+ *    byte-identical across thread counts and schedules.  One
+ *    exception: under hammer::sweepPopulation each pooled tester arena
+ *    keeps its own plan cache, so `executor.plan_cache_hits` and
+ *    `executor.plan_cache_misses` split differently per --jobs value
+ *    (their sum, `executor.programs`, does not).
  *  - *Zero cost when off*: every record path first reads one relaxed
  *    atomic bool; with --metrics absent that is the entire overhead.
  *
@@ -157,7 +161,9 @@ class MetricsRegistry
      * Print the snapshot, deterministically: one line per counter,
      * one per histogram (non-empty buckets only), sorted by name.
      * Only deterministic quantities are recorded, so for a fixed
-     * workload this output is byte-identical across --jobs values.
+     * workload this output is byte-identical across --jobs values
+     * (except the plan-cache hit/miss split of a population sweep;
+     * see the file comment).
      */
     void print(std::FILE *out) const;
 

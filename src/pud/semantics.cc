@@ -16,7 +16,8 @@ geometryOf(const dram::DeviceConfig &cfg)
 
 ReopenClass
 classifyReopen(const dram::TimingParams &t, const Geometry &g,
-               RowId prev_phys, RowId next_phys, Time t_on, Time gap)
+               RowId prev_phys, RowId next_phys, Time t_on, Time gap,
+               std::vector<RowId> *group)
 {
     const bool same_sub = g.sameSubarray(prev_phys, next_phys);
 
@@ -26,8 +27,12 @@ classifyReopen(const dram::TimingParams &t, const Geometry &g,
             return ReopenClass::SimraIgnored;
         // A degenerate pair (same row reissued) resolves to a single
         // wordline and falls through to the conventional/CoMRA rules.
-        if (simraActivatedSet(g, prev_phys, next_phys).size() > 1)
+        std::vector<RowId> set = simraActivatedSet(g, prev_phys, next_phys);
+        if (set.size() > 1) {
+            if (group != nullptr)
+                *group = std::move(set);
             return ReopenClass::SimraGroup;
+        }
     }
 
     if (same_sub && prev_phys != next_phys &&

@@ -107,11 +107,15 @@ enum class ReopenClass : std::uint8_t
  * the bank sat precharged for `gap`, and the new ACT targets
  * `next_phys` after the previous open of `prev_phys`.  Pure function
  * of the timing parameters and geometry; `prev_phys` must be the
- * single pending row (multi-row pendings never reclassify).
+ * single pending row (multi-row pendings never reclassify).  Deciding
+ * SimraGroup expands the decoder group; when `group` is non-null a
+ * SimraGroup result moves that set (simraActivatedSet) into it, so a
+ * caller never expands the same pair twice.
  */
 ReopenClass classifyReopen(const dram::TimingParams &t,
                            const Geometry &g, RowId prev_phys,
-                           RowId next_phys, Time t_on, Time gap);
+                           RowId next_phys, Time t_on, Time gap,
+                           std::vector<RowId> *group = nullptr);
 
 /** The simultaneously-activated physical row set of an ACT-PRE-ACT pair. */
 std::vector<RowId> simraActivatedSet(const Geometry &g, RowId r1,

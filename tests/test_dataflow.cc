@@ -11,11 +11,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 
 #include "lint/dataflow.h"
 #include "lint/linter.h"
 #include "lint/report.h"
+#include "pud/semantics.h"
 
 namespace {
 
@@ -263,6 +265,105 @@ TEST(Dataflow, GroupCrossingSubarrayClobbers)
     EXPECT_TRUE(hasCode(r.diags, Code::DfGroupCrossesSubarray));
     EXPECT_EQ(kindOf(r, 0), RowStateKind::Clobbered);
     EXPECT_EQ(kindOf(r, 15), RowStateKind::Clobbered);
+}
+
+TEST(Dataflow, GroupPastTheBankEndWritesOnlyBankRows)
+{
+    // The same non-power-of-two decoder spill in the last subarray:
+    // offsets 4 and 11 of subarray 1 fire rows 12..27, but the bank
+    // ends at row 23.  The WR on the open group defines only the rows
+    // the bank has.
+    dram::DeviceConfig cfg = smallConfig();
+    cfg.rowsPerSubarray = 12;
+    Program p;
+    const int d = p.addData(dram::RowData(256, dram::DataPattern::PAA));
+    simraOpen(p, 16, 23).wr(0, d, kT.tRCD).pre(0, kT.tRAS);
+
+    const auto r = analyzeDataflow(p, cfg);
+    EXPECT_TRUE(hasCode(r.diags, Code::DfGroupCrossesSubarray));
+    for (dram::RowId row = 12; row < 24; ++row)
+        EXPECT_EQ(kindOf(r, row), RowStateKind::Written) << row;
+    for (const auto &[key, st] : r.rows)
+        EXPECT_LT(static_cast<dram::RowId>(key), cfg.rowsPerBank());
+}
+
+TEST(Dataflow, ReopenGridFollowsSharedClassifier)
+{
+    // ACT r1 - PRE - ACT r2 - PRE on the AbsInt grid of t_AggOn /
+    // PRE->ACT values straddling every window edge: the row states
+    // must be the data effect of the class semantics::classifyReopen
+    // names for the pair.
+    const dram::TimingParams &t = smallConfig().timings;
+    const Time on_times[] = {t.simraMaxActToPre, t.simraMaxActToPre + 1,
+                             t.tRAS - units::ns - 1, t.tRAS - units::ns};
+    const Time gaps[] = {t.simraMaxPreToAct, t.simraMaxPreToAct + 1,
+                         t.comraMaxPreToAct, t.comraMaxPreToAct + 1};
+    // Same row (a degenerate SiMRA group), a 4-row decoder group in
+    // the same subarray, and a row in the next subarray.
+    const dram::RowId r1 = 32;
+    const dram::RowId seconds[] = {32, 38, 96};
+
+    std::set<semantics::ReopenClass> seen;
+    for (bool simra : {true, false}) {
+        auto cfg = smallConfig();
+        cfg.profile.supportsSimra = simra;
+        const semantics::Geometry g = semantics::geometryOf(cfg);
+        for (Time t_on : on_times) {
+            for (Time gap : gaps) {
+                for (dram::RowId r2 : seconds) {
+                    Program p;
+                    p.act(0, r1, t.tRP)
+                        .pre(0, t_on)
+                        .act(0, r2, gap)
+                        .pre(0, t.tRAS);
+                    const auto cls = semantics::classifyReopen(
+                        cfg.timings, g, r1, r2, t_on, gap);
+                    seen.insert(cls);
+                    const auto r = analyzeDataflow(p, cfg);
+                    SCOPED_TRACE(testing::Message()
+                                 << "simra " << simra << " t_on " << t_on
+                                 << " gap " << gap << " r2 " << r2);
+
+                    switch (cls) {
+                      case semantics::ReopenClass::ComraCopy:
+                        ASSERT_NE(r.find(0, r2), nullptr);
+                        EXPECT_EQ(r.find(0, r2)->kind,
+                                  RowStateKind::CopyOf);
+                        EXPECT_EQ(r.find(0, r2)->srcKey, rowKey(0, r1));
+                        EXPECT_EQ(r.find(0, r2)->defIndex, 2u);
+                        break;
+                      case semantics::ReopenClass::SimraGroup: {
+                        // Every group row, and nothing else, holds the
+                        // merge of the second ACT; the group lies in
+                        // r1's subarray, inside the bank.
+                        const auto group =
+                            semantics::simraActivatedSet(g, r1, r2);
+                        std::set<dram::RowId> rows;
+                        for (const auto &[key, st] : r.rows) {
+                            rows.insert(static_cast<dram::RowId>(key));
+                            EXPECT_EQ(st.kind,
+                                      RowStateKind::ChargeShared);
+                            EXPECT_EQ(st.defIndex, 2u);
+                        }
+                        EXPECT_EQ(rows, std::set<dram::RowId>(
+                                            group.begin(), group.end()));
+                        for (dram::RowId row : group) {
+                            EXPECT_TRUE(g.contains(row)) << row;
+                            EXPECT_TRUE(g.sameSubarray(row, r1)) << row;
+                        }
+                        break;
+                      }
+                      case semantics::ReopenClass::SimraIgnored:
+                      case semantics::ReopenClass::Conventional:
+                        // No data effect on r2 (or any row).
+                        EXPECT_TRUE(r.rows.empty());
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(seen.size(), 4u);  // the grid reaches every class
 }
 
 // ---- control-row clobber and aggressor aliasing ------------------------

@@ -13,12 +13,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "hammer/hcfirst.h"
 #include "hammer/population.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -252,6 +254,56 @@ TEST(Sweep, LazySweepMatchesEagerlyMaterializedSweep)
         << "search budget found no flips; equivalence would be vacuous";
     EXPECT_EQ(lazy.sketches[0].serialize(),
               eager.sketches[0].serialize());
+}
+
+/**
+ * --metrics under a real sweep: every counter and histogram matches
+ * across jobs except the plan-cache hit/miss split, because each
+ * pooled tester arena keeps its own plan cache (one compile per arena
+ * and program shape).  Hits plus misses still count every program.
+ */
+TEST(Sweep, MetricsMatchAcrossJobsExceptPlanCacheSplit)
+{
+    PopulationConfig cfg = tinyPopulation(4);
+    cfg.victimsPerSubarray = 1;
+    ModuleTester::Options opt;
+    const MeasureFn real = [&](ModuleTester &t, dram::RowId v) {
+        return t.rhDouble(v, opt);
+    };
+    struct Metrics
+    {
+        std::map<std::string, std::uint64_t> counters;
+        std::map<std::string, std::vector<std::uint64_t>> hists;
+    };
+    const auto metricsAt = [&](int jobs) {
+        obs::metrics().reset();
+        obs::metrics().setEnabled(true);
+        cfg.jobs = jobs;
+        sweepPopulation(cfg, {real});
+        Metrics m;
+        const obs::MetricsSnapshot snap = obs::metrics().snapshot();
+        for (const auto &c : snap.counters)
+            m.counters[c.name] = c.value;
+        for (const auto &h : snap.hists)
+            m.hists[h.name] = h.buckets;
+        obs::metrics().setEnabled(false);
+        obs::metrics().reset();
+        return m;
+    };
+
+    Metrics one = metricsAt(1);
+    Metrics two = metricsAt(2);
+    for (Metrics *m : {&one, &two}) {
+        auto &c = m->counters;
+        EXPECT_GT(c["executor.programs"], 0u);
+        EXPECT_EQ(c["executor.plan_cache_hits"] +
+                      c["executor.plan_cache_misses"],
+                  c["executor.programs"]);
+        c.erase("executor.plan_cache_hits");
+        c.erase("executor.plan_cache_misses");
+    }
+    EXPECT_EQ(one.counters, two.counters);
+    EXPECT_EQ(one.hists, two.hists);
 }
 
 TEST(Sweep, EmptyPopulationProducesEmptySketches)

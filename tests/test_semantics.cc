@@ -92,6 +92,24 @@ TEST(Semantics, ClassifyReopenSimraWindow)
               ReopenClass::Conventional);
 }
 
+TEST(Semantics, ClassifyReopenHandsBackTheGroup)
+{
+    const Geometry g = smallGeom();
+    const Time fast = units::fromNs(3);
+    std::vector<dram::RowId> group;
+    EXPECT_EQ(classifyReopen(kT, g, 8, 15, fast, fast, &group),
+              ReopenClass::SimraGroup);
+    EXPECT_EQ(group, simraActivatedSet(g, 8, 15));
+    // Any other class leaves the out-parameter alone.
+    group.assign(1, 99);
+    EXPECT_EQ(classifyReopen(kT, g, 8, 8, fast, fast, &group),
+              ReopenClass::Conventional);
+    EXPECT_EQ(classifyReopen(kT, g, 10, 12, kT.tRAS,
+                             units::fromNs(7.5), &group),
+              ReopenClass::ComraCopy);
+    EXPECT_EQ(group, std::vector<dram::RowId>{99});
+}
+
 TEST(Semantics, SimraActivatedSetMatchesDecoder)
 {
     const Geometry g = smallGeom();

@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -381,13 +382,25 @@ cmdAttack(const Args &args)
     return 0;
 }
 
+/** Report a malformed invocation; returns the usage exit status. */
+template <typename... Args>
+int
+usageError(const char *fmt, Args... args)
+{
+    std::fprintf(stderr, "error: ");
+    std::fprintf(stderr, fmt, args...);
+    std::fprintf(stderr, "\n");
+    return 2;
+}
+
 /**
  * Build the named program for `lint`.  Canonical patterns use the
  * same geometry the characterization front-end uses (mid-subarray
  * physical rows, translated through the module's mapping); the demo-*
  * programs exhibit the bug classes the analyzer exists to catch.
+ * nullopt for an unknown name.
  */
-bender::Program
+std::optional<bender::Program>
 lintProgramByName(const std::string &name, const dram::DeviceConfig &cfg,
                   std::uint64_t hammers)
 {
@@ -513,20 +526,29 @@ lintProgramByName(const std::string &name, const dram::DeviceConfig &cfg,
             .pre(0, nominal.tRAS);
         return p;
     }
-    fatal("unknown --program=%s (rh|comra|simra|combined|trr-rh|"
-          "trr-simra|demo-unbalanced|demo-bad-wr|demo-subtrp|"
-          "demo-broken|demo-ctrl-clobber|demo-majority-geom)",
-          name.c_str());
+    return std::nullopt;
 }
 
+/**
+ * Exit status: 0 clean, 1 error-severity findings (or warnings under
+ * --werror), 2 a malformed invocation.
+ */
 int
 cmdLint(const Args &args)
 {
     const dram::DeviceConfig cfg = configFrom(args);
     const std::string program_name = args.get("program", "demo-broken");
-    const bender::Program program = lintProgramByName(
+    const std::optional<bender::Program> named = lintProgramByName(
         program_name, cfg,
         static_cast<std::uint64_t>(args.getInt("hammers", 100000)));
+    if (!named) {
+        return usageError("unknown --program=%s (rh|comra|simra|combined|"
+                          "trr-rh|trr-simra|demo-unbalanced|demo-bad-wr|"
+                          "demo-subtrp|demo-broken|demo-ctrl-clobber|"
+                          "demo-majority-geom)",
+                          program_name.c_str());
+    }
+    const bender::Program &program = *named;
 
     lint::LintOptions opts;
     opts.effects = args.has("effects");
@@ -543,13 +565,13 @@ cmdLint(const Args &args)
             else if (m == "graphene")
                 opts.mitigations.graphene = true;
             else
-                fatal("unknown --mitigations entry '%s' "
-                      "(trr|prac|para|graphene)",
-                      m.c_str());
+                return usageError("unknown --mitigations entry '%s' "
+                                  "(trr|prac|para|graphene)",
+                                  m.c_str());
         }
         if (!opts.mitigations.any())
-            fatal("--mitigations needs at least one of "
-                  "trr,prac,para,graphene");
+            return usageError("--mitigations needs at least one of "
+                              "trr,prac,para,graphene");
     }
     lint::EffectReport report;
     const bool want_report = opts.effects || opts.mitigations.any();
@@ -902,7 +924,8 @@ usage()
         "          (--effects: static disturbance prediction;\n"
         "           --dataflow: row-state dataflow analysis;\n"
         "           --mitigations: bypass certifier vs the listed\n"
-        "           mechanisms; --werror: warnings also exit nonzero)\n"
+        "           mechanisms; --werror: warnings also exit 1)\n"
+        "          exit 0 clean, 1 error findings, 2 bad invocation\n"
         "  fuzz    [--module=ID] [--candidates=N] [--seed=N]\n"
         "          [--jobs=N] [--rows=N] [--budget-periods=N]\n"
         "          [--chunk=N] [--corpus=FILE] [--minimize-top=K]\n"
