@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <vector>
 
 #include "bender/host.h"
 #include "exec/pool.h"
 #include "hammer/patterns.h"
+#include "mitigation/countermeasures.h"
 
 namespace {
 
@@ -240,6 +242,69 @@ BM_NaiveClose(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 
+enum class Hook
+{
+    Prac,
+    Para,
+    Graphene
+};
+
+/**
+ * A hooked loop: fig24's double-sided TRR-bypass body (156 ACTs per
+ * tREFI on two aggressors, then three tREFIs of dummy-row ACTs, a REF
+ * after each) under a PRAC, PARA or Graphene hook, with the fast path
+ * on (arg 1: the steady record replays close by close, the hook still
+ * seeing every close) or off (arg 0).  Reports closes/s.
+ */
+void
+BM_HookedProbe(benchmark::State &state, Hook which)
+{
+    const bool fast = state.range(0) != 0;
+    bender::TestBench bench(benchConfig());
+    bench.executor().setFastPath(fast);
+    dram::Device &dev = bench.device();
+    const dram::DeviceConfig &cfg = dev.config();
+    const dram::RowData aggr(512, dram::DataPattern::P55);
+    const dram::RowData vict(512, dram::DataPattern::PAA);
+
+    hammer::PatternTimings t;
+    const auto program = hammer::trrBypassPattern(
+        0, {dev.toLogical(64), dev.toLogical(66)}, dev.toLogical(4),
+        false, 64, t, 156);
+
+    std::uint64_t closes = 0;
+    for (auto _ : state) {
+        std::optional<mitigation::PracMitigation> prac;
+        std::optional<mitigation::ParaMitigation> para;
+        std::optional<mitigation::GrapheneMitigation> graphene;
+        switch (which) {
+          case Hook::Prac:
+            dev.setMitigation(&prac.emplace(mitigation::PracConfig{},
+                                            cfg.banks, cfg.rowsPerBank(),
+                                            cfg.rowsPerSubarray));
+            break;
+          case Hook::Para:
+            dev.setMitigation(&para.emplace(mitigation::ParaConfig{},
+                                            cfg.rowsPerSubarray));
+            break;
+          case Hook::Graphene:
+            dev.setMitigation(&graphene.emplace(
+                mitigation::GrapheneConfig{}, cfg.banks,
+                cfg.rowsPerSubarray));
+            break;
+        }
+        for (dram::RowId r = 60; r <= 70; ++r)
+            bench.writeRow(0, dev.toLogical(r),
+                           r == 64 || r == 66 ? aggr : vict);
+        const std::uint64_t pres = dev.counters().pres;
+        bench.run(program);
+        closes += dev.counters().pres - pres;
+        dev.setMitigation(nullptr);
+    }
+    state.counters["closes_per_s"] = benchmark::Counter(
+        static_cast<double>(closes), benchmark::Counter::kIsRate);
+}
+
 void
 BM_RawCommandRate(benchmark::State &state)
 {
@@ -319,6 +384,13 @@ BENCHMARK(BM_NestedProbe)
 
 // {0 = RowHammer, 1 = CoMRA, 2 = SiMRA-8}
 BENCHMARK(BM_NaiveClose)->Arg(0)->Arg(1)->Arg(2);
+
+// {fast-path?}
+BENCHMARK_CAPTURE(BM_HookedProbe, prac, Hook::Prac)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_HookedProbe, para, Hook::Para)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_HookedProbe, graphene, Hook::Graphene)
+    ->Arg(0)
+    ->Arg(1);
 
 BENCHMARK(BM_RawCommandRate);
 

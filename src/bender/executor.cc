@@ -129,23 +129,24 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
     // about to land on a loop-damaged row (phase break), executes that
     // iteration live, and either reuses the record -- live warm-ups
     // only until the tracked rows match it, the rest of the chunk's
-    // three iterations applied from it -- or re-records.  A body whose
-    // refreshes keep colliding with its own rows never settles --
-    // after two fruitless chunks we stop re-recording and finish
-    // naively.
+    // three iterations applied from it -- or re-records.  A hooked
+    // body has no arithmetic replay: its steady record is reused close
+    // by close for the whole remaining trip count, and breaks only
+    // where its damage guards fail.  A body whose refreshes keep
+    // colliding with its own rows never settles -- after two fruitless
+    // chunks we stop re-recording and finish naively.
     while (n - it >= kFastPathThreshold && strikes < 2) {
         const Time chunk_start = cursor;
         std::uint64_t warmups = 0;
-        bool reused = false;
+        std::uint64_t reused = 0;
         for (;;) {
-            // A steady record is quiescent, so this chunk follows the
-            // phase break that ended its replay.
-            if (rec.steady &&
-                device_->reuseLoopRecord(
-                    rec, 3 - warmups, last_live,
-                    static_cast<Time>(3 - warmups) * duration)) {
-                reused = true;
-                break;
+            // A steady record follows the phase break that ended its
+            // replay.
+            if (rec.steady) {
+                reused = device_->reuseLoopRecord(rec, 3 - warmups,
+                                                  last_live, duration);
+                if (reused > 0)
+                    break;
             }
             if (warmups == 2)
                 break;
@@ -153,9 +154,11 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
             body();
             ++warmups;
         }
+        it += warmups;
 
-        if (reused) {
-            cursor += static_cast<Time>(3 - warmups) * duration;
+        if (reused > 0) {
+            cursor += static_cast<Time>(reused) * duration;
+            it += reused;
             ++stats_.recordReuses;
             if (obs::metricsOn()) [[unlikely]] {
                 static const obs::CounterId c =
@@ -165,34 +168,38 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
             if (obs::traceOn()) [[unlikely]]
                 obs::trace().event("fastpath_reuse",
                                    {{"loop", loop_index},
-                                    {"it", it + 3},
+                                    {"it", it},
                                     {"live_warmups", warmups}});
         } else {
             rec = {};  // free the old record before a new one grows
             device_->beginLoopRecording(reusable_body);
             recording_ = true;
+            last_live = cursor;
             body();
             recording_ = false;
             rec = device_->endLoopRecording();
+            ++it;
             if (obs::traceOn()) [[unlikely]]
                 obs::trace().event("fastpath_record",
                                    {{"loop", loop_index},
-                                    {"it", it + 3},
+                                    {"it", it},
                                     {"quiescent", rec.quiescent}});
         }
-        it += 3;
 
-        if (!rec.quiescent) {
+        std::uint64_t replayed = 0;
+        if (rec.quiescent) {
+            replayed = device_->replayLoopIterations(rec, n - it);
+            device_->shiftLoopTimestamps(
+                chunk_start, static_cast<Time>(replayed) * duration);
+        } else if (rec.steady) {
+            replayed = device_->reuseLoopRecord(rec, n - it, last_live,
+                                                duration);
+        } else {
             ++strikes;
             continue;
         }
-
-        const std::uint64_t replayed =
-            device_->replayLoopIterations(rec, n - it);
         if (replayed > 0) {
-            const Time skipped = static_cast<Time>(replayed) * duration;
-            device_->shiftLoopTimestamps(chunk_start, skipped);
-            cursor += skipped;
+            cursor += static_cast<Time>(replayed) * duration;
             it += replayed;
             result.fastPathIterations += replayed;
             stats_.fastPathIterations += replayed;

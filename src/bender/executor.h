@@ -11,8 +11,10 @@
  * refresh counters and TRR RNG draws advance exactly as live execution
  * would -- and *phase break* back to live execution there; a flat body
  * then reuses its record once its rows are back in the recorded
- * state.  REF-free bodies commit the whole remaining count in one
- * step.  Nested loops fast-path inside naive outer
+ * state.  With a mitigation hook attached, a flat REF-bearing body
+ * reuses its record close by close instead, showing the hook every
+ * recorded close.  REF-free bodies commit the whole remaining count
+ * in one step.  Nested loops fast-path inside naive outer
  * iterations, and an outer loop records across its inner loops when
  * the cost model says that wins.  Only RD in the body forces fully
  * naive execution (results are collected per iteration).  All of this

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -250,23 +251,29 @@ Device::advanceTime(Time t)
     now_ = t;
 }
 
-void
+bool
 Device::restoreRow(BankState &bank, RowId physical)
 {
     Row &row = rowAt(bank, physical);
     noteLoopTouched(bank, physical);
+    bool toggled = false;
     for (WeakCell &cell : row.cells) {
         if (cell.flipped()) {
             row.data.toggle(cell.col);
-            if (recorder_.active && !recorder_.inRefresh)
-                recorder_.materialized = true;
+            toggled = true;
         }
         cell.resetDamage();
         // A refresh's resets stay out of the record: replay and reuse
-        // issue refreshes from the REF counter instead.
+        // issue refreshes from the REF counter (or the hook) instead.
         if (!recorder_.inRefresh)
             disturb_.noteReset(cell);
     }
+    if (toggled && recorder_.active) {
+        recorder_.dataMoved = true;
+        if (!recorder_.inRefresh)
+            recorder_.materialized = true;
+    }
+    return toggled;
 }
 
 RowData
@@ -340,6 +347,8 @@ Device::majorityMerge(BankState &bank)
 
     for (RowId r : bank.openRows)
         bank.rows[r].data = mergeOut_;
+    if (recorder_.active)
+        recorder_.dataMoved = true;
 }
 
 void
@@ -382,7 +391,7 @@ Device::resetTrrSampler()
     }
 }
 
-void
+bool
 Device::refreshRow(BankState &bank, RowId physical)
 {
     // A pristine row holds full charge and no damage: refreshing it is
@@ -391,7 +400,7 @@ Device::refreshRow(BankState &bank, RowId physical)
     // is never loop-tracked either, so replay quiescence is unaffected.
     if (physical >= bank.rows.size() ||
         !bank.rows[physical].populated)
-        return;
+        return false;
     if (recorder_.active) {
         // Refreshes are aperiodic (the stripe rotates, TRR draws are
         // random): log the target for the quiescence check, and keep
@@ -400,9 +409,51 @@ Device::refreshRow(BankState &bank, RowId physical)
                                               physical);
         recorder_.inRefresh = true;
     }
-    restoreRow(bank, physical);
+    const bool toggled = restoreRow(bank, physical);
     recorder_.inRefresh = false;
     bank.rows[physical].lastSide = 0;
+    return toggled;
+}
+
+void
+Device::mitigate(BankState &bank, const CloseEvent &event,
+                 std::vector<BankRow> *flipped)
+{
+    mitigationRefresh_.clear();
+    mitigation_->onClose(bankIndex(bank), event, mitigationRefresh_);
+    for (RowId r : mitigationRefresh_) {
+        if (refreshRow(bank, r) && flipped != nullptr)
+            flipped->emplace_back(bankIndex(bank), r);
+    }
+}
+
+void
+Device::noteCloseVictims(BankState &bank, const CloseEvent &event)
+{
+    // Exactly the rows applyClose sets a side on: every non-aggressor
+    // in an aggressor's +-2 same-subarray radius, once.
+    const std::size_t first = recorder_.victims.size();
+    for (RowId a : event.rows) {
+        const SubarrayId sub = subarrayOfPhysical(a);
+        for (int d : {-2, -1, 1, 2}) {
+            const std::int64_t v = static_cast<std::int64_t>(a) + d;
+            if (v < 0 ||
+                v >= static_cast<std::int64_t>(bank.rows.size()))
+                continue;
+            const auto row = static_cast<RowId>(v);
+            if (subarrayOfPhysical(row) != sub ||
+                std::find(event.rows.begin(), event.rows.end(), row) !=
+                    event.rows.end() ||
+                std::any_of(recorder_.victims.begin() + first,
+                            recorder_.victims.end(),
+                            [row](const LoopRecord::Victim &x) {
+                                return x.row == row;
+                            }))
+                continue;
+            recorder_.victims.push_back(
+                {row, bank.rows[row].lastSide, 0});
+        }
+    }
 }
 
 void
@@ -431,19 +482,29 @@ Device::flushPending(BankState &bank)
             noteLoopTouched(bank, static_cast<RowId>(v));
         }
     }
+    // A hooked recording logs each close -- its deposits, its victims'
+    // side state around it, the event -- for close-by-close reuse.
+    const auto deposits =
+        static_cast<std::uint32_t>(disturb_.recordedEvents());
+    const std::size_t victims = recorder_.victims.size();
+    if (recorder_.hooked)
+        noteCloseVictims(bank, bank.pending);
     disturb_.applyClose(bank.rows, bank.pending, temperature_);
-    if (mitigation_ != nullptr) {
-        // bank.pending still holds the event (only the valid flag was
-        // cleared above), so the hook sees the final classification --
-        // including the CoMRA retro-tag applied by act().
-        mitigationRefresh_.clear();
-        mitigation_->onClose(bankIndex(bank), bank.pending,
-                             mitigationRefresh_);
-        for (RowId r : mitigationRefresh_) {
-            if (r < bank.rows.size())
-                refreshRow(bank, r);
-        }
+    if (recorder_.hooked) {
+        for (std::size_t v = victims; v < recorder_.victims.size(); ++v)
+            recorder_.victims[v].after =
+                bank.rows[recorder_.victims[v].row].lastSide;
+        recorder_.closes.push_back(
+            {static_cast<std::uint32_t>(bankIndex(bank)), deposits,
+             static_cast<std::uint32_t>(disturb_.recordedEvents()),
+             static_cast<std::uint32_t>(recorder_.victims.size()),
+             bank.pending});
     }
+    // bank.pending still holds the event (only the valid flag was
+    // cleared above), so the hook sees the final classification --
+    // including the CoMRA retro-tag applied by act().
+    if (mitigation_ != nullptr)
+        mitigate(bank, bank.pending, nullptr);
 }
 
 void
@@ -544,6 +605,8 @@ Device::act(Time t, BankId b, RowId logical_row)
             restoreRow(bank, src);
             Row &dst = rowAt(bank, phys);
             noteLoopTouched(bank, phys);
+            if (recorder_.active && !(dst.data == bank.rows[src].data))
+                recorder_.dataMoved = true;
             dst.data = bank.rows[src].data;
             for (WeakCell &c : dst.cells) {
                 c.resetDamage();
@@ -648,6 +711,8 @@ Device::wr(Time t, BankId b, const RowData &data)
         fatal("WR with %u bits to a %u-bit row", data.bits(), cfg_.cols);
     for (RowId r : bank.openRows) {
         noteLoopTouched(bank, r);
+        if (recorder_.active && !(bank.rows[r].data == data))
+            recorder_.dataMoved = true;
         bank.rows[r].data = data;
         for (WeakCell &c : bank.rows[r].cells) {
             c.resetDamage();
@@ -661,25 +726,10 @@ Device::ref(Time t)
 {
     advanceTime(t);
     ++counters_.refs;
-    if (recorder_.active) {
-        // Anchor this REF against the body's sampler pushes so replay
-        // can reconstruct each bank's exact ring fill at this point of
-        // any later iteration.
-        LoopRecord::RefPoint rp;
-        rp.actsBefore.reserve(recorder_.samplerActs.size());
-        for (const auto &acts : recorder_.samplerActs)
-            rp.actsBefore.push_back(
-                static_cast<std::uint32_t>(acts.size()));
-        recorder_.refs.push_back(std::move(rp));
-    }
-    const RowId rows_per_bank = cfg_.rowsPerBank();
-    const auto window = static_cast<std::uint64_t>(
-        cfg_.timings.refsPerWindow);
-    const std::uint64_t slot = refCounter_ % window;
-    const RowId start =
-        static_cast<RowId>(slot * rows_per_bank / window);
-    const RowId end =
-        static_cast<RowId>((slot + 1) * rows_per_bank / window);
+    const std::uint64_t slot =
+        refCounter_ % static_cast<std::uint64_t>(
+                          cfg_.timings.refsPerWindow);
+    const auto [start, end] = stripeRows(slot);
     ++refCounter_;
     if (obs::metricsOn()) [[unlikely]] {
         static const obs::CounterId c =
@@ -743,6 +793,32 @@ Device::ref(Time t)
             }
         }
     }
+
+    if (recorder_.active) {
+        // Anchor this REF against the body's sampler pushes so replay
+        // can reconstruct each bank's exact ring fill at this point of
+        // any later iteration, and (hooked) against its closes: every
+        // bank's flush above precedes the stripe in close order, and
+        // banks share no rows, so one point per REF serves them all.
+        LoopRecord::RefPoint rp;
+        rp.actsBefore.reserve(recorder_.samplerActs.size());
+        for (const auto &acts : recorder_.samplerActs)
+            rp.actsBefore.push_back(
+                static_cast<std::uint32_t>(acts.size()));
+        rp.closes = static_cast<std::uint32_t>(recorder_.closes.size());
+        rp.events = static_cast<std::uint32_t>(disturb_.recordedEvents());
+        recorder_.refs.push_back(std::move(rp));
+    }
+}
+
+std::pair<RowId, RowId>
+Device::stripeRows(std::uint64_t slot) const
+{
+    const RowId rows_per_bank = cfg_.rowsPerBank();
+    const auto window =
+        static_cast<std::uint64_t>(cfg_.timings.refsPerWindow);
+    return {static_cast<RowId>(slot * rows_per_bank / window),
+            static_cast<RowId>((slot + 1) * rows_per_bank / window)};
 }
 
 void
@@ -752,10 +828,14 @@ Device::beginLoopRecording(bool snapshot)
         fatal("Device: nested loop recording");
     recorder_.active = true;
     recorder_.inRefresh = false;
-    // Only a TRR-off, hook-free record can ever be reused.
-    recorder_.snapshot =
-        snapshot && !trrEnabled_ && mitigation_ == nullptr;
+    // Only a TRR-off record can ever be reused; a hooked one is reused
+    // close by close, so it logs its closes.
+    recorder_.snapshot = snapshot && !trrEnabled_;
+    recorder_.hooked = recorder_.snapshot && mitigation_ != nullptr;
     recorder_.materialized = false;
+    recorder_.dataMoved = false;
+    recorder_.closes.clear();
+    recorder_.victims.clear();
     recorder_.start.clear();
     recorder_.startWords.clear();
     recorder_.countersAtStart = counters_;
@@ -782,14 +862,22 @@ Device::snapshotLoopRow(BankState &bank, RowId physical)
 }
 
 bool
+Device::sameLoopData(const LoopRecord::RowState &state,
+                     const std::vector<std::uint64_t> &words) const
+{
+    const auto &now = banks_[state.bank].rows[state.row].data.words();
+    return now.size() == state.words &&
+           std::equal(now.begin(), now.end(),
+                      words.begin() + state.word);
+}
+
+bool
 Device::sameLoopState(const LoopRecord::RowState &state,
                       const std::vector<std::uint64_t> &words) const
 {
-    const Row &row = banks_[state.bank].rows[state.row];
-    const auto &now = row.data.words();
-    return row.lastSide == state.lastSide && now.size() == state.words &&
-           std::equal(now.begin(), now.end(),
-                      words.begin() + state.word);
+    return banks_[state.bank].rows[state.row].lastSide ==
+               state.lastSide &&
+           sameLoopData(state, words);
 }
 
 Device::LoopRecord
@@ -798,8 +886,10 @@ Device::endLoopRecording()
     if (!recorder_.active)
         fatal("Device: endLoopRecording without beginLoopRecording");
     recorder_.active = false;
+    recorder_.hooked = false;
 
     LoopRecord rec;
+    rec.hooked = mitigation_ != nullptr;
     rec.damage = disturb_.endRecording();
     rec.samplerActs = std::move(recorder_.samplerActs);
     rec.refs = std::move(recorder_.refs);
@@ -835,8 +925,9 @@ Device::endLoopRecording()
     }
     // A close-driven mitigation is an arbitrary state machine over
     // the close stream; its refreshes are not iteration-affine, so a
-    // hooked device never exposes a replayable steady state.
-    if (mitigation_ != nullptr)
+    // hooked record never replays arithmetically (only close by close,
+    // through reuseLoopRecord).
+    if (rec.hooked)
         rec.quiescent = false;
 
     if (rec.quiescent) {
@@ -855,19 +946,66 @@ Device::endLoopRecording()
     }
 
     if (recorder_.snapshot) {
-        bool steady = rec.quiescent && !rec.refs.empty() &&
-                      !recorder_.materialized;
+        // Close-by-close reuse recomputes a perturbed close from the
+        // rows' current data, so a hooked record needs the data fixed
+        // throughout, not only back at the end; side state it checks
+        // per close.
+        bool steady = !rec.refs.empty() && !recorder_.materialized &&
+                      (rec.hooked ? !recorder_.dataMoved : rec.quiescent);
         for (const LoopRecord::RowState &s : recorder_.start) {
             banks_[s.bank].rows[s.row].inLoopSnapshot = false;
-            steady = steady && sameLoopState(s, recorder_.startWords);
+            steady = steady && (rec.hooked
+                                    ? sameLoopData(s, recorder_.startWords)
+                                    : sameLoopState(s, recorder_.startWords));
         }
         rec.steady = steady;
         if (steady) {
             rec.start = recorder_.start;
             rec.startWords = recorder_.startWords;
         }
+        if (steady && rec.hooked) {
+            rec.closes = std::move(recorder_.closes);
+            rec.victims = std::move(recorder_.victims);
+            guardLoopRows(rec);
+        }
     }
     return rec;
+}
+
+void
+Device::guardLoopRows(LoopRecord &rec) const
+{
+    // Guard every cell the body resets (the rows it activates, copies
+    // into, merges or writes: a reset resets the whole row) and every
+    // cell of a closed row (whose data the close's deposits read).
+    std::unordered_map<const WeakCell *, std::size_t> index;
+    auto guard = [&](const WeakCell *cell) {
+        if (index.try_emplace(cell, rec.guards.size()).second)
+            rec.guards.push_back({cell, 0.0});
+    };
+    for (const DamageDelta &e : rec.damage)
+        if (e.reset)
+            guard(e.cell);
+    for (const LoopRecord::Close &c : rec.closes)
+        for (RowId r : c.event.rows)
+            for (const WeakCell &cell : banks_[c.bank].rows[r].cells)
+                guard(&cell);
+
+    // A deposit adds at most its delta to each accumulator (the cross
+    // transfers are fractions).  A recomputed close differs from the
+    // record only in its victims' side strength, 1 vs singleSidedScale
+    // (guarded rows never change data), and each float add rounds by
+    // at most 2^-24 of a sum below 1.
+    const double side = std::max(cfg_.singleSidedScale,
+                                 1.0 / cfg_.singleSidedScale);
+    for (const DamageDelta &e : rec.damage) {
+        if (e.reset)
+            continue;
+        const auto it = index.find(e.cell);
+        if (it != index.end())
+            rec.guards[it->second].perIteration +=
+                side * e.delta + 0x1p-22;
+    }
 }
 
 std::uint64_t
@@ -1104,32 +1242,129 @@ Device::replayLoopIterations(const LoopRecord &rec,
     return completed;
 }
 
-bool
-Device::reuseLoopRecord(const LoopRecord &rec, std::uint64_t iterations,
-                        Time from, Time skipped)
+void
+Device::replayStripe(std::vector<BankRow> &diverged)
 {
-    if (!rec.steady || trrEnabled_ || mitigation_ != nullptr)
-        return false;
-    for (const LoopRecord::RowState &s : rec.start)
-        if (!sameLoopState(s, rec.startWords))
-            return false;
-    const std::uint64_t refs = iterations * rec.refs.size();
-    if (cleanRefsAhead(rec) < refs)
-        return false;
-    // Deposits depend on data and side state only (checked above), so
-    // each iteration repeats the recorded events; reapply refuses if a
-    // reset would materialize a flip.
-    if (!disturb_.reapply(rec.damage, rec.nets, iterations))
-        return false;
+    const auto [start, end] = stripeRows(
+        refCounter_ %
+        static_cast<std::uint64_t>(cfg_.timings.refsPerWindow));
+    ++refCounter_;
+    ++counters_.refs;
+    for (BankState &bank : banks_)
+        for (RowId r = start; r < end; ++r)
+            if (refreshRow(bank, r))
+                diverged.emplace_back(bankIndex(bank), r);
+}
 
-    commitStripeRefs(refs);
-    addIterationCounters(rec, iterations);
-    const std::uint64_t evictions = advanceSamplerRings(rec, iterations);
+bool
+Device::reapplyHookedIteration(const LoopRecord &rec,
+                               std::vector<BankRow> &diverged,
+                               std::uint64_t &recomputes)
+{
+    // No guarded cell can reach a flip within the iteration, so no
+    // restore or refresh of a guarded row changes its data: every
+    // recorded reset lands on an unflipped cell, as recorded.
+    for (const LoopRecord::Guard &g : rec.guards) {
+        const auto &d = g.cell->damage;
+        if (std::max({d[0], d[1], d[2]}) + g.perIteration >= 1.0)
+            return false;
+    }
+
+    std::size_t event = 0;
+    std::size_t victim = 0;
+    std::size_t ref = 0;
+    auto apply_to = [&](std::size_t end) {
+        DisturbanceModel::apply(rec.damage, event, end);
+        event = end;
+    };
+    for (std::size_t c = 0;; ++c) {
+        for (; ref < rec.refs.size() && rec.refs[ref].closes == c; ++ref) {
+            apply_to(rec.refs[ref].events);
+            replayStripe(diverged);
+        }
+        if (c == rec.closes.size())
+            break;
+        const LoopRecord::Close &close = rec.closes[c];
+        BankState &bank = banks_[close.bank];
+        apply_to(close.depositsBegin);
+
+        // applyClose reads the victims' side state and data and the
+        // aggressors' data (guarded, so as recorded): where those
+        // match the record, so do the deposits.
+        bool same = true;
+        for (std::size_t v = victim; same && v < close.victimsEnd; ++v) {
+            const LoopRecord::Victim &x = rec.victims[v];
+            same = bank.rows[x.row].lastSide == x.before &&
+                   std::find(diverged.begin(), diverged.end(),
+                             BankRow(close.bank, x.row)) ==
+                       diverged.end();
+        }
+        if (same) {
+            apply_to(close.depositsEnd);
+            for (std::size_t v = victim; v < close.victimsEnd; ++v)
+                bank.rows[rec.victims[v].row].lastSide =
+                    rec.victims[v].after;
+        } else {
+            disturb_.applyClose(bank.rows, close.event, temperature_);
+            event = close.depositsEnd;
+            ++recomputes;
+        }
+        victim = close.victimsEnd;
+        if (mitigation_ != nullptr)
+            mitigate(bank, close.event, &diverged);
+    }
+    apply_to(rec.damage.size());
+    return true;
+}
+
+std::uint64_t
+Device::reuseLoopRecord(const LoopRecord &rec, std::uint64_t iterations,
+                        Time from, Time period)
+{
+    if (!rec.steady || trrEnabled_ || iterations == 0 ||
+        rec.hooked != (mitigation_ != nullptr))
+        return 0;
+    for (const LoopRecord::RowState &s : rec.start)
+        if (rec.hooked ? !sameLoopData(s, rec.startWords)
+                       : !sameLoopState(s, rec.startWords))
+            return 0;
+
+    std::uint64_t done = 0;
+    if (rec.hooked) {
+        // Rows a refresh wrote a flip into: their later closes are
+        // recomputed.
+        std::vector<BankRow> diverged;
+        std::uint64_t recomputes = 0;
+        while (done < iterations &&
+               reapplyHookedIteration(rec, diverged, recomputes))
+            ++done;
+        if (recomputes > 0 && obs::metricsOn()) [[unlikely]] {
+            static const obs::CounterId c =
+                obs::metrics().counterId("executor.replay_recomputes");
+            obs::metrics().add(c, recomputes);
+        }
+        if (done == 0)
+            return 0;
+    } else {
+        const std::uint64_t refs = iterations * rec.refs.size();
+        if (cleanRefsAhead(rec) < refs)
+            return 0;
+        // Deposits depend on data and side state only (checked above),
+        // so each iteration repeats the recorded events; reapply
+        // refuses if a reset would materialize a flip.
+        if (!disturb_.reapply(rec.damage, rec.nets, iterations))
+            return 0;
+        commitStripeRefs(refs);
+        done = iterations;
+    }
+
+    addIterationCounters(rec, done);
+    const std::uint64_t evictions = advanceSamplerRings(rec, done);
     // Count what the skipped live REFs and ACTs would have counted.
     if (obs::metricsOn()) [[unlikely]] {
         static const obs::CounterId c_refs =
             obs::metrics().counterId("device.refs");
-        obs::metrics().add(c_refs, refs);
+        obs::metrics().add(c_refs, done * rec.refs.size());
         if (evictions > 0) {
             static const obs::CounterId c_evict =
                 obs::metrics().counterId("device.trr_evictions");
@@ -1138,9 +1373,10 @@ Device::reuseLoopRecord(const LoopRecord &rec, std::uint64_t iterations,
     }
     // The body's REF pins the clock: each live iteration would have
     // left it one period later.
+    const Time skipped = static_cast<Time>(done) * period;
     now_ += skipped;
     shiftLoopTimestamps(from, skipped);
-    return true;
+    return done;
 }
 
 void

@@ -24,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dram/cell.h"
@@ -63,10 +64,13 @@ struct DeviceCounters
  * PRAC / PARA / Graphene models live in src/mitigation and implement
  * this interface.
  *
- * A device with a hook attached records loop iterations as
- * never-quiescent, so the executor falls back to exact naive
- * execution instead of arithmetic replay -- mitigation state machines
- * are not iteration-affine.
+ * Contract: onClose() must be a deterministic function of the close
+ * sequence it has been shown -- no clock reads, no device reads.  The
+ * executor's loop fast path relies on it: a hooked loop replays its
+ * recorded iteration close by close (Device::reuseLoopRecord), calling
+ * onClose() with each recorded event exactly where live execution
+ * would, so the hook sees every close and the device stays
+ * bit-identical to naive execution.
  */
 class MitigationHook
 {
@@ -141,7 +145,8 @@ class Device
     // ---- executor fast-path recording ------------------------------------
 
     /**
-     * One steady-state loop iteration, captured for arithmetic replay.
+     * One steady-state loop iteration, captured for arithmetic replay
+     * (or, hooked, close-by-close reuse).
      * Beyond the per-cell damage deltas this remembers everything the
      * body does to iteration-dependent device state: the ACT addresses
      * it pushes into each bank's TRR sampler ring (in order), where
@@ -165,8 +170,53 @@ class Device
         {
             /** Per bank: sampler pushes issued before this REF. */
             std::vector<std::uint32_t> actsBefore;
+            /** Hooked records: closes and damage events recorded
+             *  before this REF's stripe refresh. */
+            std::uint32_t closes = 0;
+            std::uint32_t events = 0;
         };
         std::vector<RefPoint> refs;
+
+        /** True if a MitigationHook was attached while recording. */
+        bool hooked = false;
+
+        /**
+         * Hooked records: one entry per close, in order.  Its deposits
+         * are `damage[depositsBegin, depositsEnd)`; its victims (the
+         * rows applyClose sets a side on) end at `victims[victimsEnd]`
+         * and start where the previous close's end.
+         */
+        struct Close
+        {
+            std::uint32_t bank;
+            std::uint32_t depositsBegin;
+            std::uint32_t depositsEnd;
+            std::uint32_t victimsEnd;
+            CloseEvent event;
+        };
+        std::vector<Close> closes;
+
+        /** A close's victim with its side state before and after. */
+        struct Victim
+        {
+            RowId row;
+            std::int8_t before;
+            std::int8_t after;
+        };
+        std::vector<Victim> victims;
+
+        /**
+         * Hooked records: every cell of a row the body restores
+         * (activates, copies into, merges, writes) or closes, with an
+         * upper bound on the damage one iteration can add to any of
+         * its accumulators, float rounding included.
+         */
+        struct Guard
+        {
+            const WeakCell *cell;
+            double perIteration;
+        };
+        std::vector<Guard> guards;
 
         /** Per bank, sorted: physical rows whose damage, data, or
          *  close-side state the body mutates (deposit victims are
@@ -196,10 +246,11 @@ class Device
 
         /**
          * True if reuseLoopRecord may apply this record again: it was
-         * recorded with a snapshot, quiescent and REF-bearing, without
-         * TRR or a hook, no restore materialized a flip, and every
-         * tracked row ended the iteration with the data and side state
-         * it started with.
+         * recorded with a snapshot, REF-bearing, without TRR, no
+         * restore materialized a flip, and every tracked row ended the
+         * iteration with the data it started with.  Unhooked, it was
+         * also quiescent and every tracked row's side state came back;
+         * hooked, no row's data changed at any point of the iteration.
          */
         bool steady = false;
     };
@@ -214,21 +265,34 @@ class Device
     LoopRecord endLoopRecording();
 
     /**
-     * Apply `iterations` further iterations of a steady record event
-     * by event instead of running them live: the same deposits and
-     * resets in the same order, REF stripes, sampler pushes and
+     * Apply up to `iterations` further iterations of a steady record
+     * event by event instead of running them live: the same deposits
+     * and resets in the same order, REF stripes, sampler pushes and
      * counters, with every float identical to live execution.  Then
      * advance the clock and every timestamp set since `from` (the
-     * start of the last live iteration) by `skipped`, as
-     * shiftLoopTimestamps does.  Refuses -- returning false and
-     * changing nothing -- unless the record is steady, TRR and hooks
-     * are off, every tracked row's data and side state equal the
-     * record's, no applied REF stripe covers a tracked row, and no
-     * applied reset lands on a flipped cell.
+     * start of the last live iteration) by `period` per applied
+     * iteration, as shiftLoopTimestamps does.  Returns the iterations
+     * applied; 0 means refused, with nothing changed.
+     *
+     * Unhooked records apply all `iterations` or refuse: unless every
+     * tracked row's data and side state equal the record's, no
+     * applied REF stripe covers a tracked row, and no applied reset
+     * lands on a flipped cell.
+     *
+     * Hooked records need every tracked row's data to equal the
+     * record's, and apply close by close: each close's recorded
+     * deposits land unless a victim's side state or data differs from
+     * the record -- after a hook or stripe refresh -- in which case
+     * DisturbanceModel::applyClose recomputes the close.  The hook
+     * then sees the recorded event and its refreshes go through
+     * refreshRow, as in live execution.  Before each iteration the
+     * record's guards must prove that no restored or closed row can
+     * reach a flip (a restore would write it into the row's data);
+     * the first iteration that fails stops the replay there.
      */
-    bool reuseLoopRecord(const LoopRecord &record,
-                         std::uint64_t iterations, Time from,
-                         Time skipped);
+    std::uint64_t reuseLoopRecord(const LoopRecord &record,
+                                  std::uint64_t iterations, Time from,
+                                  Time period);
 
     /**
      * Replay up to `max_iterations` further iterations of the recorded
@@ -361,11 +425,43 @@ class Device
         return row;
     }
 
+    /** A (bank index, physical row) pair. */
+    using BankRow = std::pair<std::size_t, RowId>;
+
     void advanceTime(Time t);
     void flushPending(BankState &bank);
     void openNormal(BankState &bank, Time t, RowId physical);
     void trrRecord(BankState &bank, RowId physical);
-    void refreshRow(BankState &bank, RowId physical);
+
+    /** Refresh one row; true if that wrote a flip into its data. */
+    bool refreshRow(BankState &bank, RowId physical);
+
+    /** Show the hook one close of `bank` and refresh the rows it asks
+     *  for; rows whose refresh wrote a flip are appended to *flipped
+     *  when given. */
+    void mitigate(BankState &bank, const CloseEvent &event,
+                  std::vector<BankRow> *flipped);
+
+    /** Recording a hooked iteration: note the victims applyClose is
+     *  about to set a side on, with their side state before. */
+    void noteCloseVictims(BankState &bank, const CloseEvent &event);
+
+    /** One iteration of a hooked record, close by close (see
+     *  reuseLoopRecord); false, changing nothing, if a guard fails.
+     *  Rows whose data a refresh changed join `diverged`. */
+    bool reapplyHookedIteration(const LoopRecord &record,
+                                std::vector<BankRow> &diverged,
+                                std::uint64_t &recomputes);
+
+    /** Apply the REF stripe of the next refresh-counter slot; rows
+     *  whose data it changed join `diverged`. */
+    void replayStripe(std::vector<BankRow> &diverged);
+
+    /** Rows [first, second) refreshed by REF-counter slot `slot`. */
+    std::pair<RowId, RowId> stripeRows(std::uint64_t slot) const;
+
+    /** Fill a steady hooked record's guards. */
+    void guardLoopRows(LoopRecord &record) const;
 
     /** The REF-counter slot (mod refsPerWindow) whose stripe covers
      *  physical row `r`. */
@@ -397,12 +493,17 @@ class Device
     std::uint64_t advanceSamplerRings(const LoopRecord &record,
                                       std::uint64_t iterations);
 
+    /** A tracked row's data equals `state`'s. */
+    bool sameLoopData(const LoopRecord::RowState &state,
+                      const std::vector<std::uint64_t> &words) const;
+
     /** A tracked row's data and side state equal `state`'s. */
     bool sameLoopState(const LoopRecord::RowState &state,
                        const std::vector<std::uint64_t> &words) const;
 
-    /** Restore a row's charge: materialize flips, clear damage. */
-    void restoreRow(BankState &bank, RowId physical);
+    /** Restore a row's charge: materialize flips, clear damage.
+     *  True if a flip was written into the row's data. */
+    bool restoreRow(BankState &bank, RowId physical);
 
     std::size_t
     bankIndex(const BankState &bank) const
@@ -447,7 +548,9 @@ class Device
         bool active = false;
         bool inRefresh = false;  //!< suppress touched-row hooks
         bool snapshot = false;   //!< capture tracked rows' start state
+        bool hooked = false;     //!< snapshot with a hook: log closes
         bool materialized = false;  //!< a body restore toggled data
+        bool dataMoved = false;  //!< any row's data changed
         std::vector<LoopRecord::RowState> start;
         std::vector<std::uint64_t> startWords;
         DeviceCounters countersAtStart;
@@ -455,7 +558,9 @@ class Device
         std::vector<LoopRecord::RefPoint> refs;
         std::vector<std::vector<RowId>> touched;
         /** (bank, row) refreshed during the recorded iteration. */
-        std::vector<std::pair<std::size_t, RowId>> refreshTargets;
+        std::vector<BankRow> refreshTargets;
+        std::vector<LoopRecord::Close> closes;
+        std::vector<LoopRecord::Victim> victims;
     };
 
     DeviceConfig cfg_;

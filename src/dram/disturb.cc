@@ -230,6 +230,18 @@ DisturbanceModel::reapply(const DamageRecord &record,
     return true;
 }
 
+void
+DisturbanceModel::apply(const DamageRecord &record, std::size_t begin,
+                        std::size_t end)
+{
+    for (std::size_t e = begin; e < end; ++e) {
+        if (record[e].reset)
+            record[e].cell->resetDamage();
+        else
+            deposit(*record[e].cell, record[e].cls, record[e].delta);
+    }
+}
+
 double
 DisturbanceModel::pressGain(TechClass cls, int simra_n, Time t_on) const
 {

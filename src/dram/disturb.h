@@ -223,6 +223,17 @@ class DisturbanceModel
     bool reapply(const DamageRecord &record, const DamageNets &nets,
                  std::uint64_t times);
 
+    /**
+     * Apply record events [begin, end) once, in order: each deposit as
+     * the live close made it, each reset as resetDamage().  The caller
+     * guarantees no reset lands on a flipped cell.
+     */
+    static void apply(const DamageRecord &record, std::size_t begin,
+                      std::size_t end);
+
+    /** Events recorded so far in the current recording. */
+    std::size_t recordedEvents() const { return record_.size(); }
+
     /** Record a charge restoration while recording (no-op otherwise). */
     void
     noteReset(WeakCell &cell)

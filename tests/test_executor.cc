@@ -10,6 +10,7 @@
 #include "fuzz/campaign.h"
 #include "fuzz/fuzz.h"
 #include "hammer/patterns.h"
+#include "mitigation/countermeasures.h"
 
 namespace {
 
@@ -775,10 +776,9 @@ struct BodyDriver
     bool
     reuse(const Device::LoopRecord &rec, std::uint64_t k)
     {
-        const Time skipped = static_cast<Time>(k) * duration();
-        if (!dev.reuseLoopRecord(rec, k, from, skipped))
+        if (dev.reuseLoopRecord(rec, k, from, duration()) != k)
             return false;
-        cursor += skipped;
+        cursor += static_cast<Time>(k) * duration();
         return true;
     }
 
@@ -944,6 +944,165 @@ TEST(LoopReuseFallback, RefusedWhenAResetWouldMaterializeAFlip)
     d.hammer(33, 2'000'000);
     ASSERT_TRUE(d.anyFlipped(BodyDriver::kAggr));
     EXPECT_FALSE(d.reuse(rec, 1));
+}
+
+// ---- hooked record reuse, close by close -------------------------------
+
+/** Eight double-sided pairs (aggressors 31 and 33), then a REF. */
+Program
+twoAggressorBody()
+{
+    const hammer::PatternTimings t;
+    Program body;
+    for (int i = 0; i < 8; ++i)
+        body.act(0, 31, t.base.tRP)
+            .pre(0, t.aggOn())
+            .act(0, 33, t.base.tRP)
+            .pre(0, t.aggOn());
+    body.ref(t.base.tRP).nop(t.base.tRFC);
+    return body;
+}
+
+/** Forwards to a hook and counts its refreshes of the given rows. */
+class RefreshCounter : public MitigationHook
+{
+  public:
+    RefreshCounter(MitigationHook &inner, std::vector<RowId> rows)
+        : inner_(inner), rows_(std::move(rows))
+    {}
+
+    void
+    onClose(BankId bank, const CloseEvent &event,
+            std::vector<RowId> &refresh) override
+    {
+        const std::size_t first = refresh.size();
+        inner_.onClose(bank, event, refresh);
+        for (std::size_t i = first; i < refresh.size(); ++i)
+            if (std::find(rows_.begin(), rows_.end(), refresh[i]) !=
+                rows_.end())
+                ++hits;
+    }
+
+    std::uint64_t hits = 0;
+
+  private:
+    MitigationHook &inner_;
+    std::vector<RowId> rows_;
+};
+
+TEST(HookedReuse, PracRfmRefreshesAnAggressorMidIteration)
+{
+    BodyDriver live(twoAggressorBody()), reused(twoAggressorBody());
+    const DeviceConfig &cfg = live.dev.config();
+    auto prac = [&] {
+        return mitigation::PracMitigation(mitigation::PracConfig{},
+                                          cfg.banks, cfg.rowsPerBank(),
+                                          cfg.rowsPerSubarray);
+    };
+    mitigation::PracMitigation live_prac = prac(), reused_prac = prac();
+    RefreshCounter live_hook(live_prac, {31, 33});
+    RefreshCounter reused_hook(reused_prac, {31, 33});
+    live.dev.setMitigation(&live_hook);
+    reused.dev.setMitigation(&reused_hook);
+
+    live.iterate(3);
+    reused.iterate(2);
+    const Device::LoopRecord rec = reused.record();
+    EXPECT_TRUE(rec.hooked);
+    EXPECT_FALSE(rec.quiescent);
+    ASSERT_TRUE(rec.steady);
+
+    // 200 iterations: PRAC alerts every few closes and its RFMs drain
+    // the aggressors, and the one-row REF stripes sweep the loop's
+    // rows too (no phase break for either).
+    const std::uint64_t before = reused_hook.hits;
+    ASSERT_TRUE(reused.reuse(rec, 200));
+    live.iterate(200);
+    EXPECT_GT(reused_hook.hits, before + 100);
+    EXPECT_EQ(reused_hook.hits, live_hook.hits);
+    EXPECT_EQ(reused_prac.alerts(), live_prac.alerts());
+    EXPECT_EQ(reused_prac.rfms(), live_prac.rfms());
+    for (RowId r = 28; r <= 36; ++r)
+        EXPECT_EQ(reused_prac.counters().counter(0, r),
+                  live_prac.counters().counter(0, r));
+    expectIdentical(stateOf(reused.dev), stateOf(live.dev));
+    for (BodyDriver *d : {&live, &reused})
+        probeSideState(d->dev, 32);
+    expectIdentical(stateOf(reused.dev), stateOf(live.dev));
+}
+
+TEST(HookedReuse, GuardSendsANearFlipIterationLive)
+{
+    mitigation::ParaConfig never;
+    never.probability = 0.0;
+    BodyDriver a(twoAggressorBody());
+    mitigation::ParaMitigation para_a(never, a.dev.config().rowsPerSubarray);
+    a.dev.setMitigation(&para_a);
+    a.iterate(2);
+    const Device::LoopRecord rec = a.record();
+    ASSERT_TRUE(rec.steady);
+
+    // The guard margin of each cell of aggressor row 31, by index.
+    const auto &cells = a.dev.weakCells(0, 31);
+    std::vector<double> margin(cells.size(), -1.0);
+    for (const Device::LoopRecord::Guard &g : rec.guards)
+        for (std::size_t k = 0; k < cells.size(); ++k)
+            if (g.cell == &cells[k])
+                margin[k] = g.perIteration;
+    for (double m : margin)
+        ASSERT_GE(m, 0.0) << "an aggressor cell is not guarded";
+    // 0: every guard holds; 1: a guard fails, no cell flipped; 2: flip.
+    auto guard_state = [&](const Device &dev) {
+        int state = 0;
+        const auto &now = dev.weakCells(0, 31);
+        for (std::size_t k = 0; k < now.size(); ++k) {
+            if (now[k].flipped())
+                return 2;
+            const auto &d = now[k].damage;
+            if (std::max({d[0], d[1], d[2]}) + margin[k] >= 1.0)
+                state = 1;
+        }
+        return state;
+    };
+    auto hammer_row30 = [](BodyDriver &d, std::uint64_t n) {
+        MitigationHook *hook = d.dev.mitigation();
+        d.dev.setMitigation(nullptr);
+        d.hammer(30, n);
+        d.dev.setMitigation(hook);
+    };
+
+    // Hammering row 30 charges aggressor row 31 without touching any
+    // tracked row's data; search (on copies) for a count that leaves a
+    // cell of row 31 within the guard margin of a flip.
+    std::uint64_t lo = 0, hi = std::uint64_t(1) << 26, found = 0;
+    while (found == 0 && hi - lo > 1) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        BodyDriver trial = a;
+        hammer_row30(trial, mid);
+        const int state = guard_state(trial.dev);
+        if (state == 1)
+            found = mid;
+        else if (state == 0)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    ASSERT_GT(found, 0u);
+    hammer_row30(a, found);
+    ASSERT_EQ(guard_state(a.dev), 1);
+
+    BodyDriver b = a;
+    mitigation::ParaMitigation para_b = para_a;
+    b.dev.setMitigation(&para_b);
+    // The next iteration must run live: its ACT 31 restores the row
+    // (no flip yet, so the data stays), after which replay resumes.
+    EXPECT_FALSE(a.reuse(rec, 3));
+    for (BodyDriver *d : {&a, &b})
+        d->iterate();
+    EXPECT_EQ(guard_state(a.dev), 0);
+    EXPECT_TRUE(a.reuse(rec, 5));
+    b.iterate(5);
+    expectIdentical(stateOf(a.dev), stateOf(b.dev));
 }
 
 } // namespace

@@ -254,10 +254,11 @@ counterValue(const char *name)
 }
 
 /**
- * A hooked device never exposes a replayable steady state, so the
- * executor burns its two recording strikes and finishes each long
- * loop naively; --metrics must count that, while a REF-free hammer
- * that fast-paths must not.
+ * A hooked loop that never becomes steady -- a REF-free hammer, which
+ * close-by-close reuse does not take -- burns its two recording
+ * strikes and finishes naively; --metrics must count that.  fig24's
+ * REF-bearing hooked loop replays close by close instead, and a
+ * REF-free hammer without a hook fast-paths: neither may count.
  */
 TEST_F(TrrExperimentTest, StrikeFallbacksCountHookedRunsOnly)
 {
@@ -268,10 +269,24 @@ TEST_F(TrrExperimentTest, StrikeFallbacksCountHookedRunsOnly)
     const dram::DeviceConfig &dc = t.device().config();
     mitigation::PracMitigation prac(mitigation::PracConfig{}, dc.banks,
                                     dc.rowsPerBank(), dc.rowsPerSubarray);
+    t.device().setMitigation(&prac);
+    t.rhDouble(200, ModuleTester::Options{});
+    t.device().setMitigation(nullptr);
+    EXPECT_GT(counterValue("executor.strike_fallbacks"), 0u);
+
+    obs::metrics().reset();
+    ModuleTester fig24(config());
+    mitigation::PracMitigation prac24(mitigation::PracConfig{}, dc.banks,
+                                      dc.rowsPerBank(),
+                                      dc.rowsPerSubarray);
     TrrConfig cfg = trrConfig();
     cfg.hammersPerAggressor = 20000;
-    runTrrExperiment(t, TrrTechnique::RowHammer, cfg, false, &prac);
-    EXPECT_GT(counterValue("executor.strike_fallbacks"), 0u);
+    const std::uint64_t before =
+        fig24.bench().executor().stats().fastPathIterations;
+    runTrrExperiment(fig24, TrrTechnique::RowHammer, cfg, false, &prac24);
+    EXPECT_GT(fig24.bench().executor().stats().fastPathIterations,
+              before);
+    EXPECT_EQ(counterValue("executor.strike_fallbacks"), 0u);
 
     obs::metrics().reset();
     ModuleTester fast(config());

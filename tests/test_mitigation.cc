@@ -7,12 +7,16 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bender/host.h"
+#include "hammer/experiment.h"
 #include "mitigation/countermeasures.h"
 #include "mitigation/mitsem.h"
 #include "mitigation/prac.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace {
@@ -464,5 +468,241 @@ TEST(HookDevice, ParaAlwaysFireSuppressesFlips)
     ParaMitigation para(always, cfg.rowsPerSubarray);
     EXPECT_EQ(flipsWith(&para), 0u);
 }
+
+// ---- hooked loops replay close by close, bit for bit ------------------
+
+enum class Mech
+{
+    Prac,
+    Para,
+    Graphene
+};
+
+struct MatrixCase
+{
+    Mech mech;
+    hammer::TrrTechnique tech;
+    int param;  //!< nSided or simraN
+};
+
+std::string
+caseName(const ::testing::TestParamInfo<MatrixCase> &info)
+{
+    const char *mech[] = {"Prac", "Para", "Graphene"};
+    const char *tech[] = {"RowHammer", "Comra", "Simra"};
+    return std::string(mech[static_cast<int>(info.param.mech)]) +
+           tech[static_cast<int>(info.param.tech)] +
+           std::to_string(info.param.param);
+}
+
+/** Everything a hooked TRR-bypass run leaves behind. */
+struct HookedRun
+{
+    std::uint64_t flips = 0;
+    std::vector<std::array<float, 3>> damage;
+    std::vector<dram::RowData> views;
+    dram::DeviceCounters counters;
+    std::size_t samplerFill = 0;
+    std::vector<std::uint64_t> hookState;
+    std::uint64_t fastPathIterations = 0;
+    std::uint64_t recomputes = 0;
+    /** Subarray rows holding a flip in their stored data. */
+    std::size_t materializedRows = 0;
+};
+
+/**
+ * fig24's measured pattern (runTrrExperiment's, minus its victim
+ * profiling) on a small SK Hynix device under one hook, with the
+ * executor's fast path on or off.  The pattern sits in subarray 2
+ * (rows 256..383), which the run's REF stripes never reach: every
+ * refresh of a loop row comes from the hook.
+ */
+HookedRun
+runHooked(const MatrixCase &mc, bool fast_path)
+{
+    constexpr std::uint64_t kHammers = 20000;
+    dram::DeviceConfig cfg = dram::makeConfig("HMA81GU7AFR8N-UH", 21);
+    cfg.banks = 1;
+    cfg.subarraysPerBank = 4;
+    cfg.rowsPerSubarray = 128;
+    cfg.cols = 256;
+    // A tenth of the family's thresholds: victims flip between PARA's
+    // refreshes.
+    for (double *anchor :
+         {&cfg.profile.rhMin, &cfg.profile.rhAvg, &cfg.profile.comraMin,
+          &cfg.profile.comraAvg, &cfg.profile.simraMin,
+          &cfg.profile.simraAvg})
+        *anchor /= 30;
+    hammer::ModuleTester tester(cfg);
+    tester.bench().executor().setFastPath(fast_path);
+    dram::Device &dev = tester.device();
+    constexpr RowId kBase = 256;
+    constexpr int kActsPerTrefi = 156;
+
+    const hammer::PatternTimings t;
+    std::vector<RowId> aggressors;
+    bender::Program program;
+    if (mc.tech == hammer::TrrTechnique::Simra) {
+        const auto plan = tester.planSimraDouble(kBase + 65, mc.param);
+        EXPECT_TRUE(plan.has_value());
+        aggressors = plan->group;
+        program = hammer::trrSimraPattern(
+            0, dev.toLogical(plan->r1), dev.toLogical(plan->r2),
+            kHammers / (kActsPerTrefi / 2), t, kActsPerTrefi);
+    } else {
+        std::vector<RowId> logical;
+        for (int i = 0; i < mc.param; ++i) {
+            aggressors.push_back(kBase + 64 + 2 * static_cast<RowId>(i));
+            logical.push_back(dev.toLogical(aggressors.back()));
+        }
+        program = hammer::trrBypassPattern(
+            0, logical, dev.toLogical(kBase + 4),
+            mc.tech == hammer::TrrTechnique::Comra,
+            kHammers / (kActsPerTrefi / aggressors.size()), t,
+            kActsPerTrefi);
+    }
+
+    std::optional<PracMitigation> prac;
+    std::optional<ParaMitigation> para;
+    std::optional<GrapheneMitigation> graphene;
+    switch (mc.mech) {
+      case Mech::Prac:
+        dev.setMitigation(&prac.emplace(PracConfig{}, cfg.banks,
+                                        cfg.rowsPerBank(),
+                                        cfg.rowsPerSubarray));
+        break;
+      case Mech::Para:
+        dev.setMitigation(&para.emplace(ParaConfig{}, cfg.rowsPerSubarray));
+        break;
+      case Mech::Graphene:
+        dev.setMitigation(&graphene.emplace(
+            GrapheneConfig{}, cfg.banks, cfg.rowsPerSubarray));
+        break;
+    }
+
+    const bool simra = mc.tech == hammer::TrrTechnique::Simra;
+    const dram::DataPattern aggr_pattern =
+        simra ? dram::DataPattern::P00 : dram::DataPattern::P55;
+    const dram::RowData aggr_data(cfg.cols, aggr_pattern);
+    const dram::RowData victim_data(cfg.cols, dram::negate(aggr_pattern));
+    auto is_aggr = [&](RowId r) {
+        return std::find(aggressors.begin(), aggressors.end(), r) !=
+               aggressors.end();
+    };
+    for (RowId r = kBase; r < kBase + cfg.rowsPerSubarray; ++r)
+        dev.writeRowDirect(0, dev.toLogical(r),
+                           is_aggr(r) ? aggr_data : victim_data);
+
+    obs::metrics().reset();
+    obs::metrics().setEnabled(true);
+    tester.bench().run(program);
+    HookedRun run;
+    for (const auto &c : obs::metrics().snapshot().counters)
+        if (c.name == "executor.replay_recomputes")
+            run.recomputes = c.value;
+    obs::metrics().setEnabled(false);
+    obs::metrics().reset();
+    dev.setMitigation(nullptr);
+
+    for (RowId r = kBase; r < kBase + cfg.rowsPerSubarray; ++r)
+        if (!is_aggr(r))
+            run.flips += tester.bench().countBitflips(
+                0, dev.toLogical(r), victim_data);
+
+    for (RowId r = 0; r < dev.rowsPerBank(); ++r) {
+        for (const dram::WeakCell &cell : dev.weakCells(0, r))
+            run.damage.push_back(cell.damage);
+        run.views.push_back(dev.readRowDirect(0, r));
+    }
+    // A victim whose view differs from its initial data while no cell
+    // of it reads flipped holds a flip a refresh wrote into its data.
+    for (RowId r = kBase; r < kBase + cfg.rowsPerSubarray; ++r) {
+        const RowId logical = dev.toLogical(r);
+        const auto &cells = dev.weakCells(0, logical);
+        if (!is_aggr(r) &&
+            !(dev.readRowDirect(0, logical) == victim_data) &&
+            std::none_of(cells.begin(), cells.end(),
+                         [](const dram::WeakCell &c) {
+                             return c.flipped();
+                         }))
+            ++run.materializedRows;
+    }
+    run.counters = dev.counters();
+    run.samplerFill = dev.trrSamplerFill(0);
+    if (prac) {
+        run.hookState = {prac->alerts(), prac->rfms()};
+        for (RowId r = 256; r < 384; ++r)
+            run.hookState.push_back(prac->counters().counter(0, r));
+    }
+    if (para)
+        run.hookState = {para->fires()};
+    if (graphene) {
+        run.hookState = {graphene->triggers()};
+        for (RowId r = 256; r < 384; ++r)
+            run.hookState.push_back(graphene->estimate(0, r));
+    }
+    run.fastPathIterations =
+        tester.bench().executor().stats().fastPathIterations;
+    return run;
+}
+
+class HookedReplayMatrix : public ::testing::TestWithParam<MatrixCase>
+{};
+
+TEST_P(HookedReplayMatrix, FastPathMatchesNaiveBitForBit)
+{
+    const HookedRun fast = runHooked(GetParam(), true);
+    const HookedRun naive = runHooked(GetParam(), false);
+
+    EXPECT_EQ(fast.flips, naive.flips);
+    ASSERT_EQ(fast.damage.size(), naive.damage.size());
+    for (std::size_t i = 0; i < fast.damage.size(); ++i)
+        for (int c = 0; c < 3; ++c)
+            ASSERT_EQ(fast.damage[i][c], naive.damage[i][c])
+                << "cell " << i << " class " << c;
+    ASSERT_EQ(fast.views.size(), naive.views.size());
+    for (std::size_t r = 0; r < fast.views.size(); ++r)
+        EXPECT_TRUE(fast.views[r] == naive.views[r]) << "row " << r;
+    EXPECT_EQ(fast.counters.acts, naive.counters.acts);
+    EXPECT_EQ(fast.counters.pres, naive.counters.pres);
+    EXPECT_EQ(fast.counters.refs, naive.counters.refs);
+    EXPECT_EQ(fast.counters.comraCopies, naive.counters.comraCopies);
+    EXPECT_EQ(fast.counters.simraOps, naive.counters.simraOps);
+    EXPECT_EQ(fast.counters.ignoredCommands,
+              naive.counters.ignoredCommands);
+    EXPECT_EQ(fast.samplerFill, naive.samplerFill);
+    EXPECT_EQ(fast.hookState, naive.hookState);
+    EXPECT_EQ(fast.materializedRows, naive.materializedRows);
+
+    // The hooked loop replays instead of falling back to naive
+    // execution, and its refreshes perturb victims it must recompute.
+    EXPECT_EQ(naive.fastPathIterations, 0u);
+    EXPECT_GT(fast.fastPathIterations, 100u);
+    EXPECT_GT(fast.recomputes, 0u);
+}
+
+/** PARA's refreshes write SiMRA victims' flips into their data. */
+TEST(HookedReplay, ParaRefreshWritesSimraFlipsIntoVictimData)
+{
+    const MatrixCase mc{Mech::Para, hammer::TrrTechnique::Simra, 4};
+    const HookedRun fast = runHooked(mc, true);
+    EXPECT_GT(fast.flips, 0u);
+    EXPECT_GT(fast.materializedRows, 0u);
+    EXPECT_EQ(fast.materializedRows, runHooked(mc, false).materializedRows);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreeHooksThreePatterns, HookedReplayMatrix,
+    ::testing::Values(
+        MatrixCase{Mech::Prac, hammer::TrrTechnique::RowHammer, 2},
+        MatrixCase{Mech::Prac, hammer::TrrTechnique::Comra, 2},
+        MatrixCase{Mech::Prac, hammer::TrrTechnique::Simra, 4},
+        MatrixCase{Mech::Para, hammer::TrrTechnique::RowHammer, 2},
+        MatrixCase{Mech::Para, hammer::TrrTechnique::Comra, 2},
+        MatrixCase{Mech::Para, hammer::TrrTechnique::Simra, 4},
+        MatrixCase{Mech::Graphene, hammer::TrrTechnique::RowHammer, 2},
+        MatrixCase{Mech::Graphene, hammer::TrrTechnique::Comra, 2},
+        MatrixCase{Mech::Graphene, hammer::TrrTechnique::Simra, 4}),
+    caseName);
 
 } // namespace

@@ -145,6 +145,17 @@ cmdReveng(const Args &args)
     return 0;
 }
 
+/** Report a malformed invocation; returns the usage exit status. */
+template <typename... Args>
+int
+usageError(const char *fmt, Args... args)
+{
+    std::fprintf(stderr, "error: ");
+    std::fprintf(stderr, fmt, args...);
+    std::fprintf(stderr, "\n");
+    return 2;
+}
+
 int
 cmdHcFirst(const Args &args)
 {
@@ -165,7 +176,7 @@ cmdHcFirst(const Args &args)
     } else if (pattern == "0xFF") {
         opt.pattern = dram::DataPattern::PFF;
     } else {
-        fatal("unknown --pattern=%s", pattern.c_str());
+        return usageError("unknown --pattern=%s", pattern.c_str());
     }
 
     MeasureFn measure;
@@ -182,8 +193,8 @@ cmdHcFirst(const Args &args)
             return t.simraDouble(v, n, opt);
         };
     else
-        fatal("unknown --technique=%s (rh|comra|simra)",
-              technique.c_str());
+        return usageError("unknown --technique=%s (rh|comra|simra)",
+                          technique.c_str());
 
     // Route through the population runner so the sweep parallelizes
     // under --jobs.  With jobs > 1 the victim list is cut into fixed
@@ -263,8 +274,8 @@ cmdPopsweep(const Args &args)
             return t.simraDouble(v, n, opt);
         };
     else
-        fatal("unknown --technique=%s (rh|comra|simra)",
-              technique.c_str());
+        return usageError("unknown --technique=%s (rh|comra|simra)",
+                          technique.c_str());
 
     PopulationConfig pop;
     pop.moduleId = args.get("module", "HMA81GU7AFR8N-UH");
@@ -300,7 +311,8 @@ cmdPopsweep(const Args &args)
                      sweep.resumedShards);
     } else {
         if (dir.empty())
-            fatal("popsweep: --dir=PATH is required with --workers>0");
+            return usageError(
+                "popsweep: --dir=PATH is required with --workers>0");
         PopsweepOptions po;
         po.dir = dir;
         po.workers = workers;
@@ -361,7 +373,8 @@ cmdAttack(const Args &args)
     else if (technique == "simra")
         tech = TrrTechnique::Simra;
     else
-        fatal("unknown --technique=%s", technique.c_str());
+        return usageError("unknown --technique=%s (rh|comra|simra)",
+                          technique.c_str());
 
     TrrConfig cfg;
     cfg.nSided = static_cast<int>(args.getInt("n", 2));
@@ -380,17 +393,6 @@ cmdAttack(const Args &args)
                 trr ? "on" : "off",
                 static_cast<unsigned long long>(flips));
     return 0;
-}
-
-/** Report a malformed invocation; returns the usage exit status. */
-template <typename... Args>
-int
-usageError(const char *fmt, Args... args)
-{
-    std::fprintf(stderr, "error: ");
-    std::fprintf(stderr, fmt, args...);
-    std::fprintf(stderr, "\n");
-    return 2;
 }
 
 /**
@@ -642,8 +644,9 @@ cmdDiffCheck(const Args &args)
         else if (mech == "prac")
             cfg.mitigation = check::MitigationUnderTest::Prac;
         else
-            fatal("unknown --mitigation '%s' (expected trr or prac)",
-                  mech.c_str());
+            return usageError(
+                "unknown --mitigation '%s' (expected trr or prac)",
+                mech.c_str());
     }
     const bool mit =
         cfg.mitigation != check::MitigationUnderTest::None;
@@ -759,8 +762,8 @@ cmdTraceSummarize(const Args &args)
     if (path.empty() && args.positional().size() > 1)
         path = args.positional()[1];
     if (path.empty())
-        fatal("trace-summarize: need --trace=FILE (or a positional "
-              "trace path)");
+        return usageError("trace-summarize: need --trace=FILE (or a "
+                          "positional trace path)");
     std::FILE *f = std::fopen(path.c_str(), "r");
     if (!f)
         fatal("trace-summarize: cannot open '%s'", path.c_str());
@@ -943,7 +946,10 @@ usage()
         "          per-phase time/count tables from a JSONL trace\n"
         "common: --seed=N --rows=N (rows per subarray)\n"
         "        --trace=FILE (JSONL event trace)\n"
-        "        --metrics (deterministic counters on stdout at exit)\n");
+        "        --metrics (deterministic counters on stdout at exit)\n"
+        "exit status: 2 for a malformed invocation (unknown command,\n"
+        "        --technique, --pattern, --program, --mitigation(s));\n"
+        "        1 for lint error findings or a diffcheck mismatch\n");
 }
 
 } // namespace
